@@ -33,7 +33,7 @@ from .protocols import (
     plan_w_from_center,
     plan_w_from_site,
 )
-from .star import analytic_eigensystem, build_effective_hamiltonian, evolve_subspace
+from .star import analytic_eigensystem, build_effective_hamiltonian, propagate
 from .linalg import hermitian_eigendecompose
 
 EXIT_CONFIG = 2
@@ -80,16 +80,12 @@ def cmd_evolve(cfg: dict, args) -> list[tuple[str, list, list]]:
     if method not in ("auto", "analytic", "numerical"):
         raise ConfigError("protocol.method must be auto, analytic or numerical")
     times = cfg_mod.grid_from_config(cfg, "time")
-    header = ["t"] + _amplitude_header(network.dim)
-    rows = []
-    for t in times:
-        state = evolve_subspace(network, initial, float(t), method=method)
-        cells: list = [float(t)]
-        for amp in state:
-            cells.append(float(amp.real))
-            cells.append(float(amp.imag))
-        rows.append(tuple(cells))
-    return [(args.out, header, rows)]
+    states = propagate(network, initial, times, method=method)
+    cells = np.empty((len(times), 2 * network.dim + 1))
+    cells[:, 0] = times
+    cells[:, 1::2] = states.real
+    cells[:, 2::2] = states.imag
+    return [(args.out, ["t"] + _amplitude_header(network.dim), cells.tolist())]
 
 
 def cmd_wgen(cfg: dict, args) -> list[tuple[str, list, list]]:

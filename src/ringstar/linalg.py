@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: Hermitian eigendecomposition, spectral time
-evolution, Kronecker products.
+"""Dense complex linear algebra: Hermitian eigendecomposition and spectral
+time evolution.
 
 Tolerances are hybrids scaled by the max-entry norm of the matrix so the same
 checks serve microscopic Hamiltonians (entries ~ exchange strength) and
@@ -33,10 +33,6 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.vectors
-        return (v * self.values) @ v.conj().T
 
 
 def _as_square(matrix, name: str = "matrix") -> np.ndarray:
@@ -79,11 +75,3 @@ def unitary_evolve(hamiltonian, time: float, state) -> np.ndarray:
     phases = np.exp(-1j * eig.values * float(time))
     return eig.vectors @ (phases * (eig.vectors.conj().T @ v))
 
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    am = np.asarray(a)
-    bm = np.asarray(b)
-    if am.ndim != 2 or bm.ndim != 2:
-        raise ValidationError("kron expects two matrices")
-    return np.kron(am, bm)

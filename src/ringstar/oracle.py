@@ -31,9 +31,9 @@ from .linalg import hermitian_eigendecompose, max_entry_norm
 from .star import (
     StarNetwork,
     as_subspace_state,
-    build_effective_hamiltonian,
     closed_form_from_center,
     closed_form_from_site,
+    propagate,
 )
 
 QUBIT_CAP = 14
@@ -108,16 +108,17 @@ def embed_in_full_space(state, n_sites: int) -> np.ndarray:
     return full
 
 
-def project_to_subspace(full_state, n_sites: int) -> tuple[np.ndarray, float]:
-    """Single-excitation amplitudes plus the population left outside them."""
+def project_to_subspace(full_state, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Single-excitation amplitudes plus the population left outside them,
+    for one full state or for each row of a (T, 2^(N+1)) stack of states."""
     v = np.asarray(full_state, dtype=np.complex128)
-    if v.ndim != 1 or v.size != 2 ** (n_sites + 1):
+    if v.ndim not in (1, 2) or v.shape[-1] != 2 ** (n_sites + 1):
         raise ValidationError(
             f"full state must have {2 ** (n_sites + 1)} amplitudes"
         )
-    amps = v[single_excitation_indices(n_sites)]
-    leakage = float(np.linalg.norm(v) ** 2 - np.linalg.norm(amps) ** 2)
-    return amps, max(leakage, 0.0)
+    amps = v[..., single_excitation_indices(n_sites)]
+    leakage = np.linalg.norm(v, axis=-1) ** 2 - np.linalg.norm(amps, axis=-1) ** 2
+    return amps, np.maximum(leakage, 0.0)
 
 
 def subspace_block(h_full: np.ndarray, n_sites: int) -> np.ndarray:
@@ -198,36 +199,34 @@ def cross_validate(
     excitation_leakage: population leaving the single-excitation sector
     (asserted at 1e-12).
     """
+    n = network.n_sites
     amps = as_subspace_state(initial, network.dim)
-    t_grid = [float(t) for t in np.atleast_1d(np.asarray(times, dtype=np.float64))]
-    h_eff = build_effective_hamiltonian(network)
-    eig_eff = hermitian_eigendecompose(h_eff)
-
-    def evolve_eff(t: float) -> np.ndarray:
-        phases = np.exp(-1j * eig_eff.values * t)
-        return eig_eff.vectors @ (phases * (eig_eff.vectors.conj().T @ amps))
-
-    numeric = {t: evolve_eff(t) for t in t_grid}
+    t_grid = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    numeric = propagate(network, amps, t_grid, method="numerical")
     checks: list[CheckResult] = []
 
     if network.constraint_holds:
         dev = 0.0
-        for t in t_grid:
-            analytic = _closed_form_columns(network, t) @ amps
-            dev = max(dev, float(np.abs(analytic - numeric[t]).max()))
+        for t, state in zip(t_grid, numeric):
+            analytic = _closed_form_columns(network, float(t)) @ amps
+            dev = max(dev, float(np.abs(analytic - state).max()))
         checks.append(CheckResult("closed_form_vs_spectral", dev, 1e-9))
 
     h_full = full_space_hamiltonian(network, z_convention)
     eig_full = hermitian_eigendecompose(h_full)
-    full0 = embed_in_full_space(amps, network.n_sites)
+    coeffs = eig_full.vectors.conj().T @ embed_in_full_space(amps, n)
     dev_full = 0.0
     worst_leak = 0.0
-    for t in t_grid:
-        phases = np.exp(-1j * eig_full.values * t)
-        full_t = eig_full.vectors @ (phases * (eig_full.vectors.conj().T @ full0))
-        projected, leakage = project_to_subspace(full_t, network.n_sites)
-        dev_full = max(dev_full, float(np.abs(projected - numeric[t]).max()))
-        worst_leak = max(worst_leak, leakage)
+    # chunks of at most dim rows keep each (rows, dim) block no larger than
+    # the eigenvector matrix, so the eigendecomposition sets the peak memory
+    chunk = eig_full.values.size
+    for start in range(0, t_grid.size, chunk):
+        rows = slice(start, start + chunk)
+        phases = np.exp(-1j * np.outer(t_grid[rows], eig_full.values))
+        phases *= coeffs
+        projected, leakage = project_to_subspace(phases @ eig_full.vectors.T, n)
+        dev_full = max(dev_full, float(np.abs(projected - numeric[rows]).max()))
+        worst_leak = max(worst_leak, float(leakage.max()))
     diagonal_free = (
         float(np.abs(network.products).max())
         <= 1e-12 * max(1.0, float(np.abs(network.gammas).max()))

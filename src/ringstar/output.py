@@ -11,6 +11,9 @@ import os
 
 
 def format_cell(value) -> str:
+    # floats are nearly every cell; bool is an int subclass, not a float one
+    if isinstance(value, float):
+        return "%.17g" % value
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -19,8 +22,6 @@ def format_cell(value) -> str:
         return value
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return "%.17g" % value
     raise TypeError(f"cannot format {type(value).__name__} as a CSV cell")
 
 

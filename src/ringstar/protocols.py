@@ -43,6 +43,7 @@ from .star import (
     closed_form_from_center,
     closed_form_from_site,
     evolve_subspace,
+    propagate,
 )
 
 # Baseline for the fluctuation study (chosen so the relative generation error
@@ -71,6 +72,11 @@ def generation_error(state) -> float:
     n = v.size - 1
     overlap = v[:n].sum() / math.sqrt(n)
     return float(min(1.0, max(0.0, 1.0 - abs(overlap) ** 2)))
+
+
+def _fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<a|b>|^2 for a state b or each row of b, clamped to [0, 1] against rounding."""
+    return np.clip(np.abs(b @ a.conj()) ** 2, 0.0, 1.0)
 
 
 def apply_phase_correction(state, site: int, chi: float) -> np.ndarray:
@@ -387,12 +393,11 @@ def make_transfer_program(
     initial, target = _transfer_endpoints(block, c, network.dim)
 
     def target_fidelity(t: float) -> float:
-        out = evolve_subspace(network, initial, t)
-        return float(abs(np.vdot(target, out)) ** 2)
+        return float(_fidelity(target, evolve_subspace(network, initial, t)))
 
     horizon = 8.0 * math.pi / network.omega
     times = np.linspace(0.0, horizon, coarse_points)
-    coarse = np.array([target_fidelity(t) for t in times])
+    coarse = _fidelity(target, propagate(network, initial, times))
     best = float(coarse.max())
     first = int(np.nonzero(coarse >= best - 1e-9)[0][0])
     lo = times[max(first - 1, 0)]
@@ -427,10 +432,5 @@ def fidelity_curve(program: TransferProgram, times: Iterable[float]) -> Fidelity
     network = program.network
     c = np.asarray(program.amplitudes)
     initial, target = _transfer_endpoints(program.block, c, network.dim)
-    f_return = np.empty(t.size)
-    f_target = np.empty(t.size)
-    for i, ti in enumerate(t):
-        out = evolve_subspace(network, initial, float(ti))
-        f_return[i] = abs(np.vdot(initial, out)) ** 2
-        f_target[i] = abs(np.vdot(target, out)) ** 2
-    return FidelityCurve(times=t, return_fidelity=f_return, target_fidelity=f_target)
+    states = propagate(network, initial, t)
+    return FidelityCurve(t, _fidelity(initial, states), _fidelity(target, states))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError, ValidationError
-from .linalg import unitary_evolve
+from .linalg import hermitian_eigendecompose
 
 CONSTRAINT_RTOL = 1e-10
 STATE_NORM_TOL = 1e-10
@@ -154,6 +154,19 @@ def _require_constraint(network: StarNetwork, what: str) -> float:
     return network.constraint_value
 
 
+def _pair_eigensystem(network: StarNetwork, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two non-degenerate levels (ascending) and their unit eigenvectors
+    (columns) (gamma_1..gamma_N, y), y = 2 lambda - C(N-2)/2; needs Omega > 0."""
+    n = network.n_sites
+    g = network.gammas
+    omega2 = float((g**2).sum())
+    disc = math.sqrt(4.0 * omega2 + c**2 * (n - 1) ** 2)
+    values = np.array([(-c - disc) / 4.0, (-c + disc) / 4.0])
+    y = 2.0 * values - c * (n - 2) / 2.0
+    vectors = np.vstack([np.tile(g[:, None], 2), y]) / np.sqrt(omega2 + y**2)
+    return values, vectors
+
+
 def analytic_eigensystem(network: StarNetwork) -> AnalyticEigenSystem:
     """Closed-form spectrum and eigenbasis under the coupling constraint.
 
@@ -167,13 +180,8 @@ def analytic_eigensystem(network: StarNetwork) -> AnalyticEigenSystem:
     g = network.gammas
     dim = n + 1
     lam_deg = c * (n - 2) / 4.0
-    gmax = float(np.abs(g).max())
-    active = (
-        [i for i in range(n) if abs(g[i]) > ZERO_COUPLING_RTOL * gmax]
-        if gmax > 0.0
-        else []
-    )
-    if not active:
+    active = np.abs(g) > ZERO_COUPLING_RTOL * float(np.abs(g).max())
+    if not active.any():
         # fully decoupled network: H is diagonal (and C = 0 by the constraint)
         eye = np.eye(dim)
         return AnalyticEigenSystem(
@@ -182,33 +190,16 @@ def analytic_eigensystem(network: StarNetwork) -> AnalyticEigenSystem:
             value_pair=np.array([lam_deg, -n * c / 4.0]),
             pair_vectors=eye[:, n - 1 :],
         )
-    columns = []
-    partial = g[active[0]] ** 2  # running sum of gamma^2 over active sites
-    for j in range(1, len(active)):
-        gj = g[active[j]]
-        vec = np.zeros(dim)
-        for m in range(j):
-            vec[active[m]] = g[active[m]] * gj
-        vec[active[j]] = -partial
-        vec /= math.sqrt(partial * (partial + gj**2))
-        partial += gj**2
-        columns.append(vec)
-    for i in range(n):
-        if i not in active:
-            vec = np.zeros(dim)
-            vec[i] = 1.0
-            columns.append(vec)
-    degenerate = (
-        np.stack(columns, axis=1) if columns else np.zeros((dim, 0))
-    )
-    omega2 = float((g**2).sum())
-    disc = math.sqrt(4.0 * omega2 + c**2 * (n - 1) ** 2)
-    lam_pair = np.array([(-c - disc) / 4.0, (-c + disc) / 4.0])
-    pair = np.zeros((dim, 2))
-    for j in range(2):
-        y = 2.0 * lam_pair[j] - c * (n - 2) / 2.0
-        vec = np.concatenate([g, [y]])
-        pair[:, j] = vec / math.sqrt(omega2 + y**2)
+    ga = g[active]
+    k = ga.size
+    partial = np.cumsum(ga**2)[:-1]  # sum of gamma^2 over the earlier active sites
+    telescoped = np.triu(np.outer(ga, ga[1:]))
+    telescoped[np.arange(1, k), np.arange(k - 1)] = -partial
+    telescoped /= np.sqrt(partial * (partial + ga[1:] ** 2))
+    degenerate = np.zeros((dim, n - 1))
+    degenerate[np.flatnonzero(active), : k - 1] = telescoped
+    degenerate[np.flatnonzero(~active), k - 1 :] = np.eye(n - k)
+    lam_pair, pair = _pair_eigensystem(network, c)
     return AnalyticEigenSystem(
         value_degenerate=lam_deg,
         degenerate=degenerate,
@@ -239,32 +230,45 @@ def basis_state(network: StarNetwork, site: int) -> np.ndarray:
     return v
 
 
-def evolve_subspace(
-    network: StarNetwork, state, time: float, method: str = "auto"
+def propagate(
+    network: StarNetwork, state, times, method: str = "auto"
 ) -> np.ndarray:
-    """Propagate a single-excitation state for the given time.
+    """States over a time grid: row k of the (T, N+1) result is the state at
+    times[k].
 
-    method="auto" uses the closed-form eigensystem when the constraint holds
-    and falls back to numerical spectral propagation otherwise;
-    method="analytic" insists (and raises when the constraint fails);
-    method="numerical" always diagonalizes.
+    method="auto" uses the closed form when the constraint holds and
+    diagonalizes H (once per call) otherwise; "analytic" raises when the
+    constraint fails; "numerical" always diagonalizes.  The closed form needs
+    only the pair vectors W: amps - W (W^T amps) takes one phase.
     """
     amps = as_subspace_state(state, network.dim)
     if method not in ("auto", "analytic", "numerical"):
         raise ValidationError(f"unknown method {method!r}")
+    t = np.asarray(times, dtype=np.float64)
+    if t.ndim != 1:
+        raise ValidationError(f"times must be a 1-d grid, got shape {t.shape}")
     if method == "auto":
         method = "analytic" if network.constraint_holds else "numerical"
     if method == "numerical":
-        return unitary_evolve(build_effective_hamiltonian(network), time, amps)
-    es = analytic_eigensystem(network)
-    out = np.zeros(network.dim, dtype=np.complex128)
-    if es.degenerate.shape[1]:
-        d = es.degenerate
-        out += cmath.exp(-1j * es.value_degenerate * time) * (d @ (d.T @ amps))
-    for j in range(2):
-        w = es.pair_vectors[:, j]
-        out += cmath.exp(-1j * es.value_pair[j] * time) * (w @ amps) * w
-    return out
+        eig = hermitian_eigendecompose(build_effective_hamiltonian(network))
+        coeffs = eig.vectors.conj().T @ amps
+        return (np.exp(-1j * np.outer(t, eig.values)) * coeffs) @ eig.vectors.T
+    c = _require_constraint(network, "the analytic propagator")
+    dark_phase = np.exp(-1j * (c * (network.n_sites - 2) / 4.0) * t)
+    if network.omega == 0.0:
+        # H vanishes (the constraint forces C = 0): every state is stationary
+        return np.outer(dark_phase, amps)
+    values, w = _pair_eigensystem(network, c)
+    bright = w * (w.T @ amps)  # column j: w_j (w_j . amps)
+    dark = amps - bright.sum(axis=1)
+    return np.outer(dark_phase, dark) + np.exp(-1j * np.outer(t, values)) @ bright.T
+
+
+def evolve_subspace(
+    network: StarNetwork, state, time: float, method: str = "auto"
+) -> np.ndarray:
+    """Propagate a single-excitation state for one time (see `propagate`)."""
+    return propagate(network, state, [time], method)[0]
 
 
 def _mixing_parameter(c: float, n: int, omega: float) -> float:

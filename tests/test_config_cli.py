@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from ringstar.config import (
 )
 from ringstar.errors import ConfigError, ValidationError
 from ringstar.output import format_cell, render_csv, sibling_path
-from ringstar.star import uniform_star
+from ringstar.star import basis_state, propagate, uniform_star
 
 
 def write_json(path, payload):
@@ -323,6 +324,34 @@ def test_cli_evolve(tmp_path):
     assert abs(first[7] - 1.0) < 1e-12  # re_4: excitation starts on the center
 
 
+@pytest.mark.parametrize(
+    "deltas, initial", [([-1.0, -1.0, -1.0], 2), ([0.3, -0.5, -1.2], "center")]
+)
+def test_cli_evolve_rows_equal_propagate(tmp_path, deltas, initial):
+    # the first network meets the constraint (analytic route), the second not
+    gammas = [1.0, 0.7, 1.3]
+    times = np.linspace(0.0, 9.0, 37)
+    cfg = write_json(
+        tmp_path / "cfg.json",
+        {
+            "mode": "effective",
+            "effective": {"gammas": gammas, "deltas": deltas},
+            "protocol": {"initial": initial},
+            "grids": {"time": {"start": 0.0, "stop": 9.0, "num": 37}},
+        },
+    )
+    out = tmp_path / "evo.csv"
+    assert run_cli("evolve", "--config", cfg, "--out", str(out)) == 0
+    lines = out.read_text().splitlines()[1:]
+    got = np.array([[float(v) for v in line.split(",")] for line in lines])
+    net = network_from_config(load_config(cfg))
+    start = basis_state(net, 4 if initial == "center" else initial)
+    states = propagate(net, start, times)
+    assert np.array_equal(got[:, 0], times)
+    assert np.array_equal(got[:, 1::2], states.real)
+    assert np.array_equal(got[:, 2::2], states.imag)
+
+
 def test_cli_wgen_center(tmp_path):
     cfg = effective_uniform(tmp_path, delta=-1.0)
     out = tmp_path / "plan.csv"
@@ -483,3 +512,37 @@ def test_shipped_configs_parse():
         "ring-anisotropy-b.json",
     ):
         load_config(f"configs/{name}")
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_RUNS = [
+    ("wgen", "center-w.json"),
+    ("sweep-fluct", "w-fluctuation.json"),
+    ("transfer", "block-transfer.json"),
+    ("sweep-aniso", "ring-anisotropy-b.json"),
+    ("evolve", "center-w.json"),
+    ("evolve", "center-w-numerical"),
+]
+
+
+@pytest.mark.parametrize("command, config", SHIPPED_RUNS)
+def test_shipped_configs_are_deterministic(tmp_path, command, config):
+    if config == "center-w-numerical":
+        # the same star forced onto the numerical route
+        payload = json.loads((CONFIGS / "center-w.json").read_text(encoding="utf-8"))
+        payload["protocol"]["method"] = "numerical"
+        path = write_json(tmp_path / "numerical.json", payload)
+    else:
+        path = str(CONFIGS / config)
+    outputs = []
+    for run in ("a", "b"):
+        run_dir = tmp_path / run
+        run_dir.mkdir()
+        out = str(run_dir / "out.csv")
+        assert run_cli(command, "--config", path, "--out", out) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(run_dir.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert "out.csv" in outputs[0]
+    siblings = {"wgen": "out-network.csv", "transfer": "out-program.csv"}
+    if command in siblings:
+        assert siblings[command] in outputs[0]

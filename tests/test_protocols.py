@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringstar.errors import InfeasibleError, ValidationError
 from ringstar.protocols import (
@@ -300,3 +302,30 @@ def test_transfer_nonzero_constraint_peak_degrades():
     )
     assert clean.peak_target_fidelity > 1.0 - 1e-10
     assert skewed.peak_target_fidelity < clean.peak_target_fidelity - 1e-3
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    block=st.integers(min_value=1, max_value=3),
+    spare=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    transverse=st.booleans(),
+)
+def test_property_transfer_fidelities_stay_in_unit_interval(
+    block, spare, seed, transverse
+):
+    # rounding alone can push |<a|b>|^2 of unit vectors just above 1
+    rng = np.random.default_rng(seed)
+    amps = rng.uniform(0.3, 1.0, block)
+    prog = make_transfer_program(
+        2 * block + 1 + spare,
+        block,
+        amps / np.linalg.norm(amps),
+        gamma_scale=float(rng.uniform(0.5, 2.0)),
+        constraint=0.0 if transverse else float(rng.uniform(0.1, 0.5)),
+    )
+    curve = fidelity_curve(prog, np.linspace(0.0, 3.0 * prog.t_transfer, 97))
+    fidelities = np.concatenate(
+        [[prog.peak_target_fidelity], curve.return_fidelity, curve.target_fidelity]
+    )
+    assert np.all((fidelities >= 0.0) & (fidelities <= 1.0))

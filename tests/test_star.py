@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringstar.errors import ConstraintError, ValidationError
@@ -19,6 +19,7 @@ from ringstar.star import (
     closed_form_from_site,
     evolve_subspace,
     phase_angles,
+    propagate,
     uniform_star,
 )
 
@@ -213,6 +214,13 @@ def test_decoupled_site_is_frozen():
     # and the moving sites still agree with the dense propagator
     moving = evolve_subspace(net, basis_state(net, 1), 4.0, method="analytic")
     assert np.abs(moving - expm_evolve(net, basis_state(net, 1), 4.0)).max() < 1e-10
+    # the closed-form eigenbasis keeps the frozen site as its own unit vector
+    es = analytic_eigensystem(net)
+    v = es.all_vectors()
+    h = build_effective_hamiltonian(net)
+    assert np.abs(h @ v - v * es.all_values()).max() < 1e-12
+    assert np.abs(v.T @ v - np.eye(4)).max() < 1e-12
+    assert np.array_equal(es.degenerate[:, -1], psi0.real)
 
 
 def test_zero_coupling_network_statics():
@@ -223,6 +231,8 @@ def test_zero_coupling_network_statics():
     assert np.array_equal(closed_form_from_center(net, 2.0), basis_state(net, 3))
     es = analytic_eigensystem(net)
     assert np.allclose(es.all_values(), 0.0, atol=1e-15)
+    for method in ("analytic", "numerical"):
+        assert np.array_equal(propagate(net, psi0, [0.0, 2.0], method), [psi0, psi0])
     with pytest.raises(ValidationError):
         phase_angles(net, 1.0)
 
@@ -239,6 +249,8 @@ def test_state_validation():
         basis_state(net, 5)
     with pytest.raises(ValidationError):
         evolve_subspace(net, basis_state(net, 1), 1.0, method="magic")
+    with pytest.raises(ValidationError):
+        propagate(net, basis_state(net, 1), [[0.0, 1.0]])  # times must be 1-d
     center = basis_state(net, 4)
     assert center[3] == 1.0 and np.abs(center[:3]).max() == 0.0
 
@@ -294,3 +306,59 @@ def test_property_analytic_spectrum_matches_numeric(case):
     )
     v = es.all_vectors()
     assert np.abs(v.T @ v - np.eye(net.dim)).max() < 1e-9
+
+
+def random_propagation_case(n, regime, initial, seed):
+    """A star, a unit initial state and a time grid drawn from one seed.
+
+    regime "transverse" has C = 0 (Delta = -1 on coupled sites), "constrained"
+    a common C != 0, and "free" independent anisotropies; the first and last
+    may carry decoupled sites (gamma = 0), which force C = 0 when they occur.
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.2, 4.0, n) * rng.choice([-1.0, 1.0], n)
+    if regime != "constrained":
+        g[rng.random(n) < 0.3] = 0.0
+    if regime == "transverse":
+        d = np.where(g == 0.0, rng.uniform(-2.0, 2.0, n), -1.0)
+    elif regime == "constrained":
+        d = rng.uniform(-3.0, 3.0) / g - 1.0
+    else:
+        d = rng.uniform(-2.0, 2.0, n)
+    net = StarNetwork(gammas=g, deltas=d)
+    if initial == "site":
+        state = basis_state(net, int(rng.integers(1, n + 1)))
+    elif initial == "center":
+        state = basis_state(net, n + 1)
+    else:
+        state = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        state /= np.linalg.norm(state)
+    times = np.sort(rng.uniform(-8.0, 8.0, int(rng.integers(1, 6))))
+    return net, state, times
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    regime=st.sampled_from(["transverse", "constrained", "free"]),
+    initial=st.sampled_from(["site", "center", "arbitrary"]),
+    method=st.sampled_from(["auto", "analytic", "numerical"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=1, regime="transverse", initial="site", method="analytic", seed=0)
+@example(n=1, regime="constrained", initial="center", method="analytic", seed=1)
+@example(n=2, regime="constrained", initial="arbitrary", method="analytic", seed=2)
+@example(n=2, regime="free", initial="site", method="numerical", seed=3)
+@example(n=2, regime="transverse", initial="arbitrary", method="numerical", seed=4)
+@example(n=3, regime="free", initial="center", method="auto", seed=5)
+def test_property_propagate_matches_expm(n, regime, initial, method, seed):
+    net, state, times = random_propagation_case(n, regime, initial, seed)
+    if method == "analytic" and not net.constraint_holds:
+        with pytest.raises(ConstraintError):
+            propagate(net, state, times, method=method)
+        return
+    rows = propagate(net, state, times, method=method)
+    assert rows.shape == (times.size, n + 1)
+    for t, row in zip(times, rows):
+        assert np.abs(row - expm_evolve(net, state, t)).max() < 1e-10
+

@@ -22,12 +22,12 @@ is reported without asserting a bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DimensionCapError, ValidationError
-from .linalg import hermitian_eigendecompose, max_entry_norm
+from .linalg import HERMITICITY_RTOL, hermitian_eigendecompose, max_entry_norm
 from .star import (
     StarNetwork,
     as_subspace_state,
@@ -36,56 +36,51 @@ from .star import (
     propagate,
 )
 
+# 14 qubits take about 10 MB: the CSR Hamiltonian (1.2e5 entries, 2.5 MB), its
+# transpose, and at most 14 Krylov columns of 2^14 amplitudes (3.7 MB).
 QUBIT_CAP = 14
 LEAKAGE_THRESHOLD = 1e-12
 SUBSPACE_BLOCK_TOL = 1e-10
-
-_FLIP_UP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)  # |1><0|
-_FLIP_DOWN = _FLIP_UP.conj().T
-
-_Z_BY_CONVENTION = {
-    "halfspin": np.diag([-0.5, 0.5]).astype(np.complex128),
-    "pauli": np.diag([-1.0, 1.0]).astype(np.complex128),
-}
+KRYLOV_RTOL = 1e-14
+_ZZ_BY_CONVENTION = {"halfspin": 0.25, "pauli": 1.0}  # (S^z)^2: S^z = +-1/2 or +-1
 
 
-def _check_convention(z_convention: str) -> np.ndarray:
-    if z_convention not in _Z_BY_CONVENTION:
+def _check_request(n_sites: int, z_convention: str) -> float:
+    if z_convention not in _ZZ_BY_CONVENTION:
         raise ValidationError(
             f"z_convention must be 'halfspin' or 'pauli', got {z_convention!r}"
         )
-    return _Z_BY_CONVENTION[z_convention]
-
-
-def _pair_operator(
-    op_site: np.ndarray, site: int, op_center: np.ndarray, n_sites: int
-) -> np.ndarray:
-    factors = [np.eye(2, dtype=np.complex128)] * (n_sites + 1)
-    factors[site] = op_site
-    factors[n_sites] = op_center
-    return reduce(np.kron, factors)
+    if n_sites + 1 > QUBIT_CAP:
+        raise DimensionCapError(
+            f"{n_sites + 1} qubits exceed the full-space cap of {QUBIT_CAP}"
+        )
+    return _ZZ_BY_CONVENTION[z_convention]
 
 
 def full_space_hamiltonian(
     network: StarNetwork, z_convention: str = "halfspin"
-) -> np.ndarray:
-    """Dense 2^(N+1)-dimensional star Hamiltonian (qubits 1..N then center)."""
-    sz = _check_convention(z_convention)
+) -> sparse.csr_array:
+    """Sparse 2^(N+1)-dimensional star Hamiltonian (qubits 1..N then center):
+    bit N - i + 1 of a basis index is qubit i and bit 0 the center, and site i
+    couples the two states in which exactly one of i and the center is up."""
     n = network.n_sites
-    if n + 1 > QUBIT_CAP:
-        raise DimensionCapError(
-            f"{n + 1} qubits exceed the full-space cap of {QUBIT_CAP}"
-        )
-    dim = 2 ** (n + 1)
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(n):
-        gamma = network.gammas[i]
-        if gamma == 0.0 and network.deltas[i] == -1.0:
-            continue
-        flip = _pair_operator(_FLIP_UP, i, _FLIP_DOWN, n)
-        flip += _pair_operator(_FLIP_DOWN, i, _FLIP_UP, n)
-        zz = _pair_operator(sz, i, sz, n)
-        h += (gamma / 2.0) * (flip + (1.0 + network.deltas[i]) * zz)
+    zz = _check_request(n, z_convention)
+    k = np.arange(2 ** (n + 1))
+    center = k & 1
+    diag = np.zeros(k.size)
+    rows, cols, vals = [k], [k], [diag]
+    for i, (gamma, delta) in enumerate(zip(network.gammas, network.deltas)):
+        bit = (k >> (n - i)) & 1
+        diag += (gamma / 2.0) * (1.0 + delta) * zz * np.where(bit == center, 1.0, -1.0)
+        flip = np.flatnonzero(bit != center)
+        rows.append(flip)
+        cols.append(flip ^ ((1 << (n - i)) | 1))
+        vals.append(np.full(flip.size, gamma / 2.0))
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    h = sparse.csr_array(entries, shape=(k.size, k.size), dtype=np.complex128)
+    h.eliminate_zeros()
+    if max_entry_norm(h - h.conj().T) > HERMITICITY_RTOL * max_entry_norm(h):
+        raise ValidationError("full-space Hamiltonian is not Hermitian")
     return h
 
 
@@ -121,13 +116,13 @@ def project_to_subspace(full_state, n_sites: int) -> tuple[np.ndarray, np.ndarra
     return amps, np.maximum(leakage, 0.0)
 
 
-def subspace_block(h_full: np.ndarray, n_sites: int) -> np.ndarray:
+def subspace_block(h_full, n_sites: int) -> np.ndarray:
     """Restrict a full-space Hamiltonian to the single-excitation basis.
 
     Any coupling from that basis to the rest of the space above the tolerance
     means the restriction would not be autonomous, which is an error.
     """
-    h = np.asarray(h_full, dtype=np.complex128)
+    h = sparse.csr_array(h_full, dtype=np.complex128)
     dim = 2 ** (n_sites + 1)
     if h.shape != (dim, dim):
         raise ValidationError(
@@ -144,7 +139,7 @@ def subspace_block(h_full: np.ndarray, n_sites: int) -> np.ndarray:
             f"single-excitation sector is not closed: coupling {worst:.3e} "
             "leaks to other sectors"
         )
-    return h[np.ix_(idx, idx)]
+    return h[np.ix_(idx, idx)].toarray()
 
 
 @dataclass(frozen=True)
@@ -174,13 +169,39 @@ class ValidationReport:
         return [(c.name, c.max_deviation, c.threshold, c.passed) for c in self.checks]
 
 
-def _closed_form_columns(network: StarNetwork, time: float) -> np.ndarray:
-    cols = [
-        closed_form_from_site(network, i, time)
-        for i in range(1, network.n_sites + 1)
-    ]
-    cols.append(closed_form_from_center(network, time))
-    return np.stack(cols, axis=1)
+def krylov_project(
+    h_full, full_state, times, n_sites: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`project_to_subspace` of exp(-i H t) |state> at every time of a 1-d grid.
+
+    Lanczos (fully reorthogonalised) runs until the next residual is at most
+    KRYLOV_RTOL * ||H||_inf or the basis V spans the space, so V is invariant:
+    with T = U L U^T, the state at t is |state| * c(t) V, c(t) = U e^(-iLt) U^T e_1.
+    Population that H moves out of the sector shows in the leakage."""
+    v = np.asarray(full_state, dtype=np.complex128)
+    norm = float(np.linalg.norm(v))
+    basis, alphas, betas = [v / norm], [], []
+    tol = KRYLOV_RTOL * float(abs(h_full).sum(axis=1).max())
+    while True:
+        vs = np.array(basis)
+        w = h_full @ basis[-1]
+        alphas.append(np.vdot(basis[-1], w).real)
+        for _ in range(2):  # classical Gram-Schmidt, repeated for orthogonality
+            w -= (vs.conj() @ w) @ vs
+        beta = float(np.linalg.norm(w))
+        if beta <= tol or len(basis) == v.size:
+            break
+        betas.append(beta)
+        basis.append(w / beta)
+    tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    eig = hermitian_eigendecompose(tridiagonal)
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=np.float64), eig.values))
+    coeffs = (phases * (norm * eig.vectors[0].conj())) @ eig.vectors.T
+    idx = single_excitation_indices(n_sites)
+    outside = np.delete(vs, idx, axis=1)
+    gram = outside.conj() @ outside.T
+    leakage = np.einsum("tj,jk,tk->t", coeffs.conj(), gram, coeffs).real
+    return coeffs @ vs[:, idx], np.maximum(leakage, 0.0)
 
 
 def cross_validate(
@@ -202,39 +223,31 @@ def cross_validate(
     n = network.n_sites
     amps = as_subspace_state(initial, network.dim)
     t_grid = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    _check_request(n, z_convention)
     numeric = propagate(network, amps, t_grid, method="numerical")
     checks: list[CheckResult] = []
 
     if network.constraint_holds:
         dev = 0.0
+        sources = np.flatnonzero(amps)
         for t, state in zip(t_grid, numeric):
-            analytic = _closed_form_columns(network, float(t)) @ amps
+            analytic = sum(
+                amps[j] * closed_form_from_site(network, j + 1, float(t)) if j < n
+                else amps[j] * closed_form_from_center(network, float(t))
+                for j in sources
+            )
             dev = max(dev, float(np.abs(analytic - state).max()))
         checks.append(CheckResult("closed_form_vs_spectral", dev, 1e-9))
 
     h_full = full_space_hamiltonian(network, z_convention)
-    eig_full = hermitian_eigendecompose(h_full)
-    coeffs = eig_full.vectors.conj().T @ embed_in_full_space(amps, n)
-    dev_full = 0.0
-    worst_leak = 0.0
-    # chunks of at most dim rows keep each (rows, dim) block no larger than
-    # the eigenvector matrix, so the eigendecomposition sets the peak memory
-    chunk = eig_full.values.size
-    for start in range(0, t_grid.size, chunk):
-        rows = slice(start, start + chunk)
-        phases = np.exp(-1j * np.outer(t_grid[rows], eig_full.values))
-        phases *= coeffs
-        projected, leakage = project_to_subspace(phases @ eig_full.vectors.T, n)
-        dev_full = max(dev_full, float(np.abs(projected - numeric[rows]).max()))
-        worst_leak = max(worst_leak, float(leakage.max()))
+    projected, leakage = krylov_project(h_full, embed_in_full_space(amps, n), t_grid, n)
+    dev_full = float(np.abs(projected - numeric).max())
     diagonal_free = (
         float(np.abs(network.products).max())
         <= 1e-12 * max(1.0, float(np.abs(network.gammas).max()))
     )
-    checks.append(
-        CheckResult(
-            "subspace_vs_fullspace", dev_full, 1e-9 if diagonal_free else None
-        )
-    )
+    threshold = 1e-9 if diagonal_free else None
+    checks.append(CheckResult("subspace_vs_fullspace", dev_full, threshold))
+    worst_leak = float(leakage.max())
     checks.append(CheckResult("excitation_leakage", worst_leak, LEAKAGE_THRESHOLD))
     return ValidationReport(checks=tuple(checks))

@@ -14,6 +14,7 @@ from ringstar.coupling import (
     find_delta_transitions,
 )
 from ringstar.oracle import (
+    QUBIT_CAP,
     cross_validate,
     embed_in_full_space,
     full_space_hamiltonian,
@@ -54,7 +55,7 @@ def _random_constrained(rng, n: int) -> StarNetwork:
 
 
 def _full_space_evolve(network, state, t):
-    h = full_space_hamiltonian(network)
+    h = full_space_hamiltonian(network).toarray()
     eig = hermitian_eigendecompose(h)
     full0 = embed_in_full_space(state, network.n_sites)
     phases = np.exp(-1j * eig.values * t)
@@ -332,4 +333,32 @@ def test_criterion_8_full_space_closure():
         f"W errors {center_err:.2e}/{site_err:.2e} <= 1e-8, transfer fidelity "
         f"{transfer_fidelity:.12f} >= 1-1e-8, leakage {leak_worst:.2e} <= 1e-12, "
         f"C != 0 deviation {discrepancy.max_deviation:.2e} reported unasserted",
+    )
+
+
+def test_criterion_8_at_the_qubit_cap():
+    # the full-space check at its advertised size: 14 genuine qubits, C = 0,
+    # a W release from the center followed over two generation times
+    start = time.perf_counter()
+    rng = np.random.default_rng(814)
+    n = QUBIT_CAP - 1
+    g = rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n)
+    net = StarNetwork(gammas=g, deltas=np.full(n, -1.0))
+    times = np.linspace(0.0, 2.0 * math.pi / net.omega, 1001)
+    report = cross_validate(net, basis_state(net, n + 1), times)
+    by_name = {c.name: c for c in report.checks}
+    elapsed = time.perf_counter() - start
+    ok = (
+        [c.threshold for c in report.checks] == [1e-9, 1e-9, 1e-12]
+        and report.all_passed
+        and elapsed < 10.0
+    )
+    _report(
+        8,
+        f"full-space closure at the {QUBIT_CAP}-qubit cap on a 1001-point grid",
+        ok,
+        f"closed form {by_name['closed_form_vs_spectral'].max_deviation:.2e}, "
+        f"full space {by_name['subspace_vs_fullspace'].max_deviation:.2e} <= 1e-9, "
+        f"leakage {by_name['excitation_leakage'].max_deviation:.2e} <= 1e-12, "
+        f"{elapsed:.1f}s < 10s",
     )

@@ -5,7 +5,12 @@ from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+import ringstar.oracle
 from ringstar.errors import DimensionCapError, ValidationError
 from ringstar.oracle import (
     QUBIT_CAP,
@@ -13,11 +18,39 @@ from ringstar.oracle import (
     cross_validate,
     embed_in_full_space,
     full_space_hamiltonian,
+    krylov_project,
     project_to_subspace,
     single_excitation_indices,
     subspace_block,
 )
 from ringstar.star import StarNetwork, build_effective_hamiltonian, uniform_star
+
+_FLIP_UP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)  # |1><0|
+_FLIP_DOWN = _FLIP_UP.conj().T
+_SZ = {
+    "halfspin": np.diag([-0.5, 0.5]).astype(np.complex128),
+    "pauli": np.diag([-1.0, 1.0]).astype(np.complex128),
+}
+
+
+def _pair_operator(op_site, site, op_center, n_sites):
+    factors = [np.eye(2, dtype=np.complex128)] * (n_sites + 1)
+    factors[site] = op_site
+    factors[n_sites] = op_center
+    return reduce(np.kron, factors)
+
+
+def reference_hamiltonian(network, z_convention="halfspin"):
+    """Dense star Hamiltonian built from Kronecker products, site by site."""
+    sz = _SZ[z_convention]
+    n = network.n_sites
+    h = np.zeros((2 ** (n + 1), 2 ** (n + 1)), dtype=np.complex128)
+    for i in range(n):
+        flip = _pair_operator(_FLIP_UP, i, _FLIP_DOWN, n)
+        flip += _pair_operator(_FLIP_DOWN, i, _FLIP_UP, n)
+        zz = _pair_operator(sz, i, sz, n)
+        h += (network.gammas[i] / 2.0) * (flip + (1.0 + network.deltas[i]) * zz)
+    return h
 
 
 def number_operator(n_qubits: int) -> np.ndarray:
@@ -49,7 +82,7 @@ def test_one_site_block_by_hand():
 def test_excitation_number_is_conserved():
     net = StarNetwork(gammas=np.array([1.0, -0.7, 2.0]), deltas=np.array([0.3, -0.2, 0.9]))
     for convention in ("halfspin", "pauli"):
-        h = full_space_hamiltonian(net, convention)
+        h = full_space_hamiltonian(net, convention).toarray()
         assert np.abs(h - h.conj().T).max() < 1e-15
         num = number_operator(4)
         assert np.abs(h @ num - num @ h).max() < 1e-12
@@ -179,3 +212,123 @@ def test_qubit_cap():
         full_space_hamiltonian(uniform_star(QUBIT_CAP, 1.0))
     with pytest.raises(ValidationError):
         full_space_hamiltonian(uniform_star(2, 1.0), "spinhalf")
+
+
+def _random_couplings(rng, n, regime, decoupled):
+    g = rng.uniform(0.2, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    if decoupled:
+        g[rng.integers(n)] = 0.0
+    if regime == "transverse":
+        d = np.full(n, -1.0)
+    elif regime == "constrained":
+        # decoupled sites keep Delta = -1; the others share one product C
+        d = rng.uniform(-2.0, 2.0) / np.where(g == 0.0, np.inf, g) - 1.0
+    else:
+        d = rng.uniform(-2.0, 1.0, n)
+    return StarNetwork(gammas=g, deltas=d)
+
+
+def test_sparse_hamiltonian_equals_kron_reference():
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        for regime in ("transverse", "constrained", "free"):
+            net = _random_couplings(rng, n, regime, decoupled=n > 1)
+            # one site with gamma = 0 but Delta != -1 contributes nothing either
+            g, d = net.gammas.copy(), net.deltas.copy()
+            g[0], d[0] = 0.0, 0.4
+            for network in (net, StarNetwork(gammas=g, deltas=d)):
+                for convention in ("halfspin", "pauli"):
+                    h = full_space_hamiltonian(network, convention)
+                    assert sparse.issparse(h) and h.format == "csr"
+                    assert h.nnz <= (n + 1) * 2 ** (n + 1)
+                    reference = reference_hamiltonian(network, convention)
+                    assert np.array_equal(h.toarray(), reference)
+
+
+def test_subspace_block_accepts_sparse():
+    net = StarNetwork(
+        gammas=np.array([1.0, 0.0, -0.6]), deltas=np.array([0.2, 0.3, 1.1])
+    )
+    h = full_space_hamiltonian(net, "pauli")
+    assert np.array_equal(subspace_block(h, 3), subspace_block(h.toarray(), 3))
+    broken = h + sparse.csr_array(([1e-3, 1e-3], ([8, 0], [0, 8])), shape=h.shape)
+    with pytest.raises(ValidationError):
+        subspace_block(broken, 3)
+
+
+def _expm_projection(h_dense, full0, t, n):
+    return project_to_subspace(scipy.linalg.expm(-1j * t * h_dense) @ full0, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    regime=st.sampled_from(["transverse", "constrained", "free"]),
+    convention=st.sampled_from(["halfspin", "pauli"]),
+    uniform_grid=st.booleans(),
+    decoupled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=7, regime="free", convention="pauli", uniform_grid=True,
+         decoupled=True, seed=0)
+@example(n=7, regime="constrained", convention="halfspin", uniform_grid=False,
+         decoupled=False, seed=1)
+@example(n=1, regime="transverse", convention="halfspin", uniform_grid=False,
+         decoupled=True, seed=2)
+def test_property_krylov_projection_matches_expm(
+    n, regime, convention, uniform_grid, decoupled, seed
+):
+    rng = np.random.default_rng(seed)
+    net = _random_couplings(rng, n, regime, decoupled)
+    amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    amps /= np.linalg.norm(amps)
+    size = int(rng.integers(1, 6))
+    if uniform_grid:
+        times = np.linspace(0.0, rng.uniform(0.5, 10.0), size)
+    else:
+        times = np.sort(rng.uniform(-8.0, 8.0, size))
+    h = full_space_hamiltonian(net, convention)
+    full0 = embed_in_full_space(amps, n)
+    projected, leakage = krylov_project(h, full0, times, n)
+    assert projected.shape == (size, n + 1) and leakage.shape == (size,)
+    dense = h.toarray()
+    for t, row, leak in zip(times, projected, leakage):
+        ref_amps, ref_leak = _expm_projection(dense, full0, t, n)
+        assert np.abs(row - ref_amps).max() < 1e-10
+        assert abs(leak - ref_leak) < 1e-10
+        assert leak <= 1e-12
+
+
+def test_number_breaking_term_shows_as_leakage():
+    net = StarNetwork(
+        gammas=np.array([1.0, -0.5, 0.8]), deltas=np.array([-1.0, 0.2, -1.0])
+    )
+    h = full_space_hamiltonian(net)
+    sigma_x = sparse.csr_array([[0.0, 1.0], [1.0, 0.0]])
+    sigma_x_center = sparse.kron(sparse.identity(8), sigma_x)  # center is bit 0
+    broken = (h + 0.3 * sigma_x_center).tocsr()
+    full0 = embed_in_full_space(np.array([0.6, 0.0, 0.8j, 0.0]), 3)
+    times = np.linspace(0.0, 4.0, 9)
+    projected, leakage = krylov_project(broken, full0, times, 3)
+    dense = broken.toarray()
+    for t, row, leak in zip(times, projected, leakage):
+        ref_amps, ref_leak = _expm_projection(dense, full0, t, 3)
+        assert np.abs(row - ref_amps).max() < 1e-10
+        assert abs(leak - ref_leak) < 1e-10
+    assert leakage.max() > 1e-12
+    assert krylov_project(h, full0, times, 3)[1].max() <= 1e-12
+
+
+def test_cross_validate_refuses_before_propagating(monkeypatch):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("effective propagation ran before the request checks")
+
+    monkeypatch.setattr(ringstar.oracle, "propagate", no_propagation)
+    big = uniform_star(QUBIT_CAP, 1.0)
+    start = np.zeros(big.dim, dtype=complex)
+    start[0] = 1.0
+    with pytest.raises(DimensionCapError):
+        cross_validate(big, start, [0.0, 1.0])
+    small = uniform_star(2, 1.0)
+    with pytest.raises(ValidationError):
+        cross_validate(small, np.array([1.0, 0.0, 0.0]), [1.0], z_convention="spin")

@@ -1,5 +1,6 @@
-"""Dense complex linear algebra: Hermitian eigendecomposition and spectral
-time evolution.
+"""Dense linear algebra: Hermitian eigendecomposition and spectral time
+evolution.  Real input stays real, so a real symmetric matrix takes the real
+eigensolver and gets real eigenvectors; anything complex is complex128.
 
 Tolerances are hybrids scaled by the max-entry norm of the matrix so the same
 checks serve microscopic Hamiltonians (entries ~ exchange strength) and
@@ -36,7 +37,8 @@ class EigenSystem:
 
 
 def _as_square(matrix, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(matrix, dtype=np.complex128)
+    a = np.asarray(matrix)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():

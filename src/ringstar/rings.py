@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -135,65 +134,60 @@ class RingSpec:
         return int(np.prod(self.site_dims))
 
 
-def site_operator(op: np.ndarray, site: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Embed a single-site operator (0-based site) into the ring's product space."""
-    factors = [
-        op if k == site else np.eye(d, dtype=np.complex128)
-        for k, d in enumerate(dims)
-    ]
-    return reduce(np.kron, factors)
+def _real_factors(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tau_x, i tau_y, tau_z) of one site: all three are real matrices, and
+    tau_y (x) tau_y = -(i tau_y) (x) (i tau_y)."""
+    sx, sy, sz = spin_operators(s)
+    return sx.real, (1j * sy).real, sz.real
 
 
-def _two_site_operator(
-    op_a: np.ndarray, a: int, op_b: np.ndarray, b: int, dims: tuple[int, ...]
+def _on_site(
+    op: np.ndarray, site: int, states: np.ndarray, dims: tuple[int, ...]
 ) -> np.ndarray:
-    if a == b:
-        return site_operator(op_a @ op_b, a, dims)
-    factors = []
-    for k, d in enumerate(dims):
-        if k == a:
-            factors.append(op_a)
-        elif k == b:
-            factors.append(op_b)
-        else:
-            factors.append(np.eye(d, dtype=np.complex128))
-    return reduce(np.kron, factors)
+    """Apply a single-site matrix (0-based site) to a ket (dim,) or to the
+    columns of a (dim, m) array, along that site's axis of the product space."""
+    tensor = states.reshape(dims + states.shape[1:])
+    moved = np.moveaxis(np.tensordot(op, tensor, axes=(1, site)), 0, site)
+    return moved.reshape(states.shape)
 
 
 def build_ring_hamiltonian(
     spec: RingSpec, dim_cap: int = DEFAULT_DIM_CAP
 ) -> np.ndarray:
-    """Dense Hamiltonian of one ring in the tensor-product basis."""
+    """Dense real Hamiltonian of one ring in the tensor-product basis."""
     if spec.dim > dim_cap:
         raise DimensionCapError(
             f"ring dimension {spec.dim} exceeds the cap {dim_cap}"
         )
     dims = spec.site_dims
     n = spec.n_sites
-    ops = [spin_operators(s) for s in spec.sites]
-    h = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+    ops = [_real_factors(s) for s in spec.sites]
+    eye = np.eye(spec.dim)
+    h = np.zeros((spec.dim, spec.dim))
     for k in range(n):
         nxt = (k + 1) % n
         j = spec.bond_couplings[k]
-        for axis in range(3):
-            h += j * _two_site_operator(ops[k][axis], k, ops[nxt][axis], nxt, dims)
+        for axis, sign in enumerate((1.0, -1.0, 1.0)):
+            right = _on_site(ops[nxt][axis], nxt, eye, dims)
+            h += (sign * j) * _on_site(ops[k][axis], k, right, dims)
     for k in range(n):
         d = spec.crystal_fields[k]
         if d == 0.0:
             continue
         s = spec.sites[k]
         sz = ops[k][2]
-        local = sz @ sz - (s * (s + 1) / 3.0) * np.eye(dims[k], dtype=np.complex128)
-        h += d * site_operator(local, k, dims)
+        local = sz @ sz - (s * (s + 1) / 3.0) * np.eye(dims[k])
+        h += d * _on_site(local, k, eye, dims)
     return h
 
 
 def total_sz_operator(spec: RingSpec) -> np.ndarray:
     dims = spec.site_dims
-    out = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+    ones = np.ones(spec.dim)
+    diagonal = np.zeros(spec.dim)
     for k, s in enumerate(spec.sites):
-        out += site_operator(spin_operators(s)[2], k, dims)
-    return out
+        diagonal += _on_site(_real_factors(s)[2], k, ones, dims)
+    return np.diag(diagonal)
 
 
 @dataclass(frozen=True)
@@ -236,7 +230,7 @@ def regauge(
     ket1 = np.asarray(encoding.ket1, dtype=np.complex128)
     gauged = False
     if gauge_operator is not None:
-        g = np.asarray(gauge_operator, dtype=np.complex128)
+        g = np.asarray(gauge_operator)
         x10 = np.vdot(ket1, g @ ket0)
         if abs(x10) > 1e-12 * max(max_entry_norm(g), 1.0):
             ket1 = ket1 * np.exp(1j * np.angle(x10))
@@ -264,8 +258,8 @@ def ground_doublet(
     of a ferromagnetic ring) is an error.  When `gauge_operator` is given,
     the phase of |1> is fixed by making <1|gauge_operator|0> real >= 0.
     """
-    h = np.asarray(hamiltonian, dtype=np.complex128)
-    sz = np.asarray(sz_total, dtype=np.complex128)
+    h = np.asarray(hamiltonian)
+    sz = np.asarray(sz_total)
     if h.shape != sz.shape:
         raise ValidationError("hamiltonian and sz_total dimensions differ")
     scale = max(max_entry_norm(h), 1.0)
@@ -324,13 +318,13 @@ def doublet_matrix_elements(
     x10 = np.zeros(n, dtype=np.complex128)
     z00 = np.zeros(n, dtype=np.complex128)
     z11 = np.zeros(n, dtype=np.complex128)
+    kets = np.stack([encoding.ket0, encoding.ket1], axis=1)
     for m in range(n):
-        sx, _, sz = spin_operators(spec.sites[m])
-        sx_m = site_operator(sx, m, dims)
-        sz_m = site_operator(sz, m, dims)
-        x10[m] = np.vdot(encoding.ket1, sx_m @ encoding.ket0)
-        z00[m] = np.vdot(encoding.ket0, sz_m @ encoding.ket0)
-        z11[m] = np.vdot(encoding.ket1, sz_m @ encoding.ket1)
+        sx, _, sz = _real_factors(spec.sites[m])
+        x10[m] = np.vdot(encoding.ket1, _on_site(sx, m, encoding.ket0, dims))
+        z_kets = _on_site(sz, m, kets, dims)
+        z00[m] = np.vdot(encoding.ket0, z_kets[:, 0])
+        z11[m] = np.vdot(encoding.ket1, z_kets[:, 1])
     return SiteMatrixElements(x10=x10, z00=z00, z11=z11)
 
 
@@ -343,6 +337,7 @@ def ring_qubit_encoding(
     """
     h = build_ring_hamiltonian(spec, dim_cap=dim_cap)
     sz = total_sz_operator(spec)
-    gauge = site_operator(spin_operators(spec.sites[0])[0], 0, spec.site_dims)
+    tau_x = _real_factors(spec.sites[0])[0]
+    gauge = _on_site(tau_x, 0, np.eye(spec.dim), spec.site_dims)
     enc = ground_doublet(h, sz, gauge_operator=gauge)
     return enc, doublet_matrix_elements(enc, spec)

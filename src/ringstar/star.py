@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +54,8 @@ class StarNetwork:
     Site indices in the public interface are 1-based; index N+1 denotes the
     center.  `constraint_value` is the median of the products
     gamma_i (1 + Delta_i), and `constraint_holds` says whether all products
-    agree with it to within 1e-10 relative to max(|C|, max |gamma_i|).
+    agree with it to within 1e-10 relative to max(|C|, max |gamma_i|); all
+    three are computed once per network.
     """
 
     gammas: np.ndarray
@@ -79,11 +81,11 @@ class StarNetwork:
     def dim(self) -> int:
         return self.n_sites + 1
 
-    @property
+    @cached_property
     def products(self) -> np.ndarray:
-        return self.gammas * (1.0 + self.deltas)
+        return _readonly(self.gammas * (1.0 + self.deltas))
 
-    @property
+    @cached_property
     def constraint_value(self) -> float:
         return float(np.median(self.products))
 
@@ -91,7 +93,7 @@ class StarNetwork:
     def omega(self) -> float:
         return float(np.sqrt((self.gammas**2).sum()))
 
-    @property
+    @cached_property
     def constraint_holds(self) -> bool:
         c = self.constraint_value
         tol = CONSTRAINT_RTOL * max(abs(c), float(np.abs(self.gammas).max()))
@@ -144,14 +146,14 @@ class AnalyticEigenSystem:
 
 
 def _require_constraint(network: StarNetwork, what: str) -> float:
+    c = network.constraint_value
     if not network.constraint_holds:
-        c = network.constraint_value
         dev = float(np.abs(network.products - c).max())
         raise ConstraintError(
             f"{what} requires a common gamma*(1+Delta); "
             f"largest deviation from {c:.6g} is {dev:.3e}"
         )
-    return network.constraint_value
+    return c
 
 
 def _pair_eigensystem(network: StarNetwork, c: float) -> tuple[np.ndarray, np.ndarray]:

@@ -22,9 +22,10 @@ from ringstar.rings import (
     doublet_matrix_elements,
     regauge,
     ring_qubit_encoding,
-    site_operator,
     spin_operators,
 )
+
+from kron_reference import site_operator
 
 SPIN_HALF = RingSpec(sites=(0.5,), bond_couplings=(0.0,), crystal_fields=(0.0,))
 

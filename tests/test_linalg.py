@@ -45,6 +45,21 @@ def test_known_two_by_two():
     assert np.allclose(eig.values, [-0.5, 0.5], atol=1e-15)
 
 
+def test_real_symmetric_input_stays_real():
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(64, 64))
+    h = (raw + raw.T) / 2.0
+    eig = hermitian_eigendecompose(h)
+    assert eig.vectors.dtype == np.float64
+    reconstructed = (eig.vectors * eig.values) @ eig.vectors.T
+    assert np.abs(reconstructed - h).max() < 1e-11 * max_entry_norm(h) * 64
+    # an integer matrix is promoted to float64, not to complex
+    integer = hermitian_eigendecompose(np.array([[0, 1], [1, 0]]))
+    assert integer.vectors.dtype == np.float64
+    complex_input = hermitian_eigendecompose(h.astype(np.complex128))
+    assert complex_input.vectors.dtype == np.complex128
+
+
 def test_reconstruct_round_trip_dim_256():
     rng = np.random.default_rng(7)
     h = random_hermitian(rng, 256)

@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringstar.errors import DimensionCapError, GroundDoubletError
 from ringstar.rings import (
+    QubitEncoding,
     RingSpec,
+    _on_site,
     build_ring_hamiltonian,
     doublet_matrix_elements,
     ground_doublet,
     ring_qubit_encoding,
-    site_operator,
     spin_operators,
     total_sz_operator,
 )
+
+from kron_reference import site_operator
 
 
 def test_spin_half_operators_are_half_paulis():
@@ -52,6 +57,12 @@ def test_two_site_ring_counts_its_bond_twice():
     spec = RingSpec(sites=(0.5, 0.5), bond_couplings=(1.0, 1.0), crystal_fields=(0.0, 0.0))
     values = np.linalg.eigvalsh(build_ring_hamiltonian(spec))
     assert np.allclose(values, [-1.5, 0.5, 0.5, 0.5], atol=1e-13)
+
+
+def test_ring_hamiltonian_and_total_sz_are_real():
+    spec = RingSpec.cr_ni(3)
+    assert build_ring_hamiltonian(spec).dtype == np.float64
+    assert total_sz_operator(spec).dtype == np.float64
 
 
 def test_hamiltonian_is_hermitian_and_conserves_sz():
@@ -98,23 +109,18 @@ def test_independent_reconstruction_cr3ni():
     ops = {4: spin_operators(1.5), 3: spin_operators(1.0)}
     total = 192
 
-    def embed(op, site):
-        mats = [np.eye(dim) for dim in dims]
-        mats[site] = op
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-
     h = np.zeros((total, total), dtype=np.complex128)
     bonds = [(0, 1, j), (1, 2, j), (2, 3, j), (3, 0, a * j)]
     for p, q, strength in bonds:
         for axis in range(3):
-            h += strength * embed(ops[dims[p]][axis], p) @ embed(ops[dims[q]][axis], q)
+            h += strength * (
+                site_operator(ops[dims[p]][axis], p, dims)
+                @ site_operator(ops[dims[q]][axis], q, dims)
+            )
     for site, dim in enumerate(dims):
         s = 1.5 if dim == 4 else 1.0
         sz = ops[dim][2]
-        h += d * (embed(sz @ sz, site) - s * (s + 1) / 3.0 * np.eye(total))
+        h += d * (site_operator(sz @ sz, site, dims) - s * (s + 1) / 3.0 * np.eye(total))
 
     spec = RingSpec.cr_ni(3, exchange=j, ratio=a, crystal_field=d)
     mine = build_ring_hamiltonian(spec)
@@ -182,3 +188,80 @@ def test_matrix_elements_match_direct_sandwiches():
         tz = site_operator(taus[m][2], m, spec.site_dims)
         assert abs(np.vdot(enc.ket1, tx @ enc.ket0) - elems.x10[m]) < 1e-12
         assert abs(np.vdot(enc.ket0, tz @ enc.ket0) - elems.z00[m]) < 1e-12
+
+
+def test_on_site_matches_kron_for_a_non_symmetric_matrix():
+    # the library only applies symmetric factors (and antisymmetric i tau_y
+    # in pairs), where a transposed contraction would go unnoticed
+    dims = (2, 4, 3)
+    rng = np.random.default_rng(3)
+    states = rng.normal(size=(24, 5)) + 1j * rng.normal(size=(24, 5))
+    for site, d in enumerate(dims):
+        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        reference = site_operator(op, site, dims) @ states
+        assert np.abs(_on_site(op, site, states, dims) - reference).max() < 1e-13
+        assert np.abs(_on_site(op, site, states[:, 0], dims) - reference[:, 0]).max() < 1e-13
+
+
+def kron_ring_hamiltonian(spec):
+    """The ring Hamiltonian summed from Kronecker-embedded spin matrices."""
+    dims = spec.site_dims
+    n = spec.n_sites
+    taus = [spin_operators(s) for s in spec.sites]
+    h = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+    for k in range(n):
+        nxt = (k + 1) % n
+        for axis in range(3):
+            h += spec.bond_couplings[k] * (
+                site_operator(taus[k][axis], k, dims)
+                @ site_operator(taus[nxt][axis], nxt, dims)
+            )
+    for k, s in enumerate(spec.sites):
+        sz = taus[k][2]
+        h += spec.crystal_fields[k] * (
+            site_operator(sz @ sz, k, dims) - s * (s + 1) / 3.0 * np.eye(spec.dim)
+        )
+    return h
+
+
+@st.composite
+def random_rings(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    spin = st.sampled_from([0.5, 1.0, 1.5, 2.0])
+    coeff = st.floats(min_value=-20.0, max_value=20.0, allow_subnormal=False)
+    return RingSpec(
+        sites=tuple(draw(st.lists(spin, min_size=n, max_size=n))),
+        bond_couplings=tuple(draw(st.lists(coeff, min_size=n, max_size=n))),
+        crystal_fields=tuple(draw(st.lists(coeff, min_size=n, max_size=n))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_rings(), st.integers(min_value=0, max_value=10**6))
+@example(RingSpec(sites=(2.0,), bond_couplings=(-3.0,), crystal_fields=(0.7,)), 0)
+@example(RingSpec((1.5, 1.0), bond_couplings=(2.0, -0.5), crystal_fields=(0.3, -1.1)), 1)
+@example(RingSpec.cr_ni(3, exchange=-17.0, crystal_field=-0.3), 2)
+def test_property_ring_operators_match_kron_reference(spec, seed):
+    dims = spec.site_dims
+    h = build_ring_hamiltonian(spec)
+    reference = kron_ring_hamiltonian(spec)
+    assert h.dtype == np.float64
+    assert np.abs(h - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    sz_reference = sum(
+        site_operator(spin_operators(s)[2], k, dims) for k, s in enumerate(spec.sites)
+    )
+    assert np.array_equal(total_sz_operator(spec), sz_reference)
+
+    # the matrix elements are sandwiches of single-site operators, so any
+    # pair of unit kets tests them; no ground doublet is needed
+    rng = np.random.default_rng(seed)
+    kets = rng.normal(size=(2, spec.dim)) + 1j * rng.normal(size=(2, spec.dim))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    enc = QubitEncoding(ket0=kets[0], ket1=kets[1], gap=np.inf, sz0=-0.5, sz1=0.5)
+    elems = doublet_matrix_elements(enc, spec)
+    for m, s in enumerate(spec.sites):
+        tx, _, tz = (site_operator(t, m, dims) for t in spin_operators(s))
+        assert abs(np.vdot(kets[1], tx @ kets[0]) - elems.x10[m]) < 1e-12
+        assert abs(np.vdot(kets[0], tz @ kets[0]) - elems.z00[m]) < 1e-12
+        assert abs(np.vdot(kets[1], tz @ kets[1]) - elems.z11[m]) < 1e-12

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DimensionCapError, ValidationError
 from .linalg import HERMITICITY_RTOL, hermitian_eigendecompose, max_entry_norm
@@ -63,6 +62,8 @@ def full_space_hamiltonian(
     """Sparse 2^(N+1)-dimensional star Hamiltonian (qubits 1..N then center):
     bit N - i + 1 of a basis index is qubit i and bit 0 the center, and site i
     couples the two states in which exactly one of i and the center is up."""
+    from scipy import sparse
+
     n = network.n_sites
     zz = _check_request(n, z_convention)
     k = np.arange(2 ** (n + 1))
@@ -122,6 +123,8 @@ def subspace_block(h_full, n_sites: int) -> np.ndarray:
     Any coupling from that basis to the rest of the space above the tolerance
     means the restriction would not be autonomous, which is an error.
     """
+    from scipy import sparse
+
     h = sparse.csr_array(h_full, dtype=np.complex128)
     dim = 2 ** (n_sites + 1)
     if h.shape != (dim, dim):

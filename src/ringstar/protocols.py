@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import InfeasibleError, ValidationError
 from .star import (
@@ -174,6 +173,7 @@ def _solve_ratio(
     n: int, constraint: float, gamma_source: float, winding: int, branch: str
 ) -> float:
     """Self-consistent p: the ratio that equalizes populations at t_k."""
+    from scipy.optimize import brentq
 
     def residual(p: float) -> float:
         theta1 = _theta1_at_winding(p, n, constraint, gamma_source, winding)
@@ -402,6 +402,8 @@ def make_transfer_program(
     first = int(np.nonzero(coarse >= best - 1e-9)[0][0])
     lo = times[max(first - 1, 0)]
     hi = times[min(first + 1, len(times) - 1)]
+    from scipy.optimize import minimize_scalar
+
     refined = minimize_scalar(
         lambda t: -target_fidelity(t),
         bounds=(lo, hi),

@@ -21,19 +21,24 @@ protection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionCapError, GroundDoubletError, ValidationError
-from .linalg import hermitian_eigendecompose, max_entry_norm
+from .linalg import HERMITICITY_RTOL, hermitian_eigendecompose, max_entry_norm
 
+# Largest full product dimension of a ring (a config's `dim_cap`; larger
+# rings exit with code 5).  The sector route holds O(L * dim) numbers: the
+# per-site m table, blocks with at most 2L + 1 entries per row, and the two
+# doublet kets.  x = 5 (dim 3072) peaks 6 MB above the imports, x = 7 40 MB.
 DEFAULT_DIM_CAP = 4096
 
-# energy window (relative to the max-entry norm of H) within which eigenstates
-# count as members of the ground multiplet
+DENSE_SECTOR_MAX = 200  # larger sectors are diagonalised by sparse Lanczos
+
+# minimum doublet gap, relative to the largest Hamiltonian entry: levels
+# closer than this count as degenerate with the ground level
 GROUND_CLUSTER_RTOL = 1e-8
-SZ_LABEL_TOL = 1e-8
 
 
 def _check_spin(s: float) -> float:
@@ -134,13 +139,6 @@ class RingSpec:
         return int(np.prod(self.site_dims))
 
 
-def _real_factors(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tau_x, i tau_y, tau_z) of one site: all three are real matrices, and
-    tau_y (x) tau_y = -(i tau_y) (x) (i tau_y)."""
-    sx, sy, sz = spin_operators(s)
-    return sx.real, (1j * sy).real, sz.real
-
-
 def _on_site(
     op: np.ndarray, site: int, states: np.ndarray, dims: tuple[int, ...]
 ) -> np.ndarray:
@@ -151,43 +149,72 @@ def _on_site(
     return moved.reshape(states.shape)
 
 
-def build_ring_hamiltonian(
-    spec: RingSpec, dim_cap: int = DEFAULT_DIM_CAP
-) -> np.ndarray:
-    """Dense real Hamiltonian of one ring in the tensor-product basis."""
+def _product_basis(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
+    """2 tau_z of every site in every product state, shape (dim, L), and the
+    index stride of each site.  Indices are mixed-radix numbers with site 1
+    most significant (the axis order of `_on_site`); level i has m = s - i."""
+    dims = np.array(spec.site_dims)
+    strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
+    levels = (np.arange(spec.dim)[:, None] // strides) % dims
+    return np.round(2 * np.array(spec.sites)).astype(int) - 2 * levels, strides
+
+
+def build_ring_hamiltonian(spec: RingSpec, dim_cap: int = DEFAULT_DIM_CAP) -> dict:
+    """Real Hamiltonian of one ring, one block per total-S_z sector.
+
+    Returns {2M: (indices, block)}: the ascending product-basis indices of
+    the sector's states and H restricted to them, a dense array up to
+    DENSE_SECTOR_MAX states and a scipy.sparse CSR array above.  Bond k adds
+    J_k m_k m_{k+1} to the diagonal and J_k/2 (S+_k S-_{k+1} + h.c.) off it.
+    """
     if spec.dim > dim_cap:
         raise DimensionCapError(
             f"ring dimension {spec.dim} exceeds the cap {dim_cap}"
         )
-    dims = spec.site_dims
-    n = spec.n_sites
-    ops = [_real_factors(s) for s in spec.sites]
-    eye = np.eye(spec.dim)
-    h = np.zeros((spec.dim, spec.dim))
-    for k in range(n):
-        nxt = (k + 1) % n
-        j = spec.bond_couplings[k]
-        for axis, sign in enumerate((1.0, -1.0, 1.0)):
-            right = _on_site(ops[nxt][axis], nxt, eye, dims)
-            h += (sign * j) * _on_site(ops[k][axis], k, right, dims)
-    for k in range(n):
-        d = spec.crystal_fields[k]
-        if d == 0.0:
+    two_m, strides = _product_basis(spec)
+    m = two_m / 2.0
+    casimir = np.array([s * (s + 1) for s in spec.sites])
+    diag = (m**2 - casimir / 3.0) @ np.array(spec.crystal_fields)
+    states = np.arange(spec.dim)
+    rows, cols, vals = [states], [states], [diag]
+    for k, j in enumerate(spec.bond_couplings):
+        q = (k + 1) % spec.n_sites
+        if q == k:  # a one-site ring: tau . tau = s(s+1)
+            diag += j * casimir[k]
             continue
-        s = spec.sites[k]
-        sz = ops[k][2]
-        local = sz @ sz - (s * (s + 1) / 3.0) * np.eye(dims[k])
-        h += d * _on_site(local, k, eye, dims)
-    return h
+        diag += j * m[:, k] * m[:, q]
+        # S+_k raises m_k (its level index falls by one), S-_q lowers m_q
+        raise_k = casimir[k] - m[:, k] * (m[:, k] + 1)
+        lower_q = casimir[q] - m[:, q] * (m[:, q] - 1)
+        src = np.flatnonzero((raise_k > 0) & (lower_q > 0))
+        dst = src - strides[k] + strides[q]
+        amp = (j / 2) * np.sqrt(raise_k[src] * lower_q[src])
+        rows += [src, dst]
+        cols += [dst, src]
+        vals += [amp, amp]
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    keys, sector = np.unique(two_m.sum(axis=1), return_inverse=True)
+    entry_sector = sector[rows]
+    position = np.empty(spec.dim, dtype=np.intp)
+    blocks = {}
+    for i, key in enumerate(keys):
+        idx = np.flatnonzero(sector == i)
+        position[idx] = np.arange(idx.size)
+        sel = entry_sector == i  # an entry never leaves its sector
+        entries = (vals[sel], (position[rows[sel]], position[cols[sel]]))
+        if idx.size <= DENSE_SECTOR_MAX:
+            block = np.zeros((idx.size, idx.size))
+            np.add.at(block, entries[1], entries[0])
+        else:
+            from scipy import sparse
+
+            block = sparse.csr_array(entries, shape=(idx.size, idx.size))
+        blocks[int(key)] = (idx, block)
+    return blocks
 
 
 def total_sz_operator(spec: RingSpec) -> np.ndarray:
-    dims = spec.site_dims
-    ones = np.ones(spec.dim)
-    diagonal = np.zeros(spec.dim)
-    for k, s in enumerate(spec.sites):
-        diagonal += _on_site(_real_factors(s)[2], k, ones, dims)
-    return np.diag(diagonal)
+    return np.diag(_product_basis(spec)[0].sum(axis=1) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -215,85 +242,78 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (pivot.conj() / abs(pivot))
 
 
-def regauge(
-    encoding: QubitEncoding, gauge_operator: np.ndarray | None = None
-) -> QubitEncoding:
+def regauge(encoding: QubitEncoding, spec: RingSpec | None = None) -> QubitEncoding:
     """Reapply the deterministic phase convention to a doublet.
 
     Strips whatever overall phases |0> and |1> carry (an eigensolver is free
     to pick any): |0> is rotated so its largest-magnitude entry is real
-    positive, |1> so that <1|gauge_operator|0> is real non-negative.  Without
-    a gauge operator, or when that matrix element vanishes, |1> falls back to
-    the same largest-entry convention.
+    positive, |1> so that <1|tau_{1,x}|0> on site 1 of `spec` is real
+    non-negative.  Without a spec, or when that matrix element vanishes, |1>
+    falls back to the same largest-entry convention.
     """
     ket0 = _canonical_phase(np.asarray(encoding.ket0, dtype=np.complex128))
     ket1 = np.asarray(encoding.ket1, dtype=np.complex128)
-    gauged = False
-    if gauge_operator is not None:
-        g = np.asarray(gauge_operator)
-        x10 = np.vdot(ket1, g @ ket0)
-        if abs(x10) > 1e-12 * max(max_entry_norm(g), 1.0):
+    if spec is not None:
+        tau_x = spin_operators(spec.sites[0])[0].real
+        x10 = np.vdot(ket1, _on_site(tau_x, 0, ket0, spec.site_dims))
+        if abs(x10) > 1e-12 * max(max_entry_norm(tau_x), 1.0):
             ket1 = ket1 * np.exp(1j * np.angle(x10))
-            gauged = True
-    if not gauged:
-        ket1 = _canonical_phase(ket1)
-    return QubitEncoding(
-        ket0=ket0,
-        ket1=ket1,
-        gap=encoding.gap,
-        sz0=encoding.sz0,
-        sz1=encoding.sz1,
-    )
+            return replace(encoding, ket0=ket0, ket1=ket1)
+    return replace(encoding, ket0=ket0, ket1=_canonical_phase(ket1))
 
 
-def ground_doublet(
-    hamiltonian: np.ndarray,
-    sz_total: np.ndarray,
-    gauge_operator: np.ndarray | None = None,
-) -> QubitEncoding:
-    """Extract the qubit encoding from a ring Hamiltonian.
+def _lowest_levels(block, count: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The `count` lowest eigenvalues of one real symmetric sector block,
+    ascending, with their eigenvectors as columns.  Dense blocks take the
+    full eigendecomposition; CSR blocks take Lanczos (`eigsh`) from a fixed
+    start vector, so repeated runs return the same bytes."""
+    if isinstance(block, np.ndarray):
+        eig = hermitian_eigendecompose(block)
+        return eig.values[:count], eig.vectors[:, :count]
+    from scipy.sparse.linalg import eigsh
 
-    The ground multiplet must consist of exactly two states, with total S_z
-    eigenvalues -1/2 and +1/2; anything else (e.g. the high-spin multiplet
-    of a ferromagnetic ring) is an error.  When `gauge_operator` is given,
-    the phase of |1> is fixed by making <1|gauge_operator|0> real >= 0.
+    asym = max_entry_norm(block - block.T)
+    if asym > HERMITICITY_RTOL * scale:
+        raise ValidationError(f"sector block is not symmetric (asymmetry {asym:.3e})")
+    start = np.random.default_rng(0).standard_normal(block.shape[0])
+    values, vectors = eigsh(block, k=count, which="SA", v0=start)
+    order = np.argsort(values)
+    values, vectors = values[order], vectors[:, order]
+    residual = np.linalg.norm(block @ vectors - vectors * values, axis=0).max()
+    if residual > 1e-10 * scale:
+        raise ValidationError(f"sector eigenpairs have residual {residual:.3e}")
+    return values, vectors
+
+
+def ground_doublet(sectors: dict, spec: RingSpec) -> QubitEncoding:
+    """Extract the qubit encoding from a ring's sector blocks.
+
+    |1> and |0> are the ground states of the S_z = +1/2 and -1/2 sectors
+    (time reversal makes them degenerate and sector -M a copy of +M).  The
+    gap, to the second +1/2 level or the ground level of a sector 2M > 1,
+    must exceed GROUND_CLUSTER_RTOL times the largest block entry.
     """
-    h = np.asarray(hamiltonian)
-    sz = np.asarray(sz_total)
-    if h.shape != sz.shape:
-        raise ValidationError("hamiltonian and sz_total dimensions differ")
-    scale = max(max_entry_norm(h), 1.0)
-    comm = max_entry_norm(h @ sz - sz @ h)
-    if comm > 1e-9 * scale:
-        raise ValidationError(
-            f"hamiltonian does not commute with total S_z (residual {comm:.3e})"
-        )
-    eig = hermitian_eigendecompose(h)
+    if 1 not in sectors:
+        raise GroundDoubletError("integer total spin: no S_z = +-1/2 doublet")
+    scale = max(max(max_entry_norm(block) for _, block in sectors.values()), 1.0)
     window = GROUND_CLUSTER_RTOL * scale
-    cluster = np.nonzero(eig.values - eig.values[0] <= window)[0]
-    if len(cluster) != 2:
-        raise GroundDoubletError(
-            f"ground multiplet has {len(cluster)} states, expected a doublet"
-        )
-    block = eig.vectors[:, cluster]
-    sz_block = block.conj().T @ sz @ block
-    sz_vals, rot = np.linalg.eigh((sz_block + sz_block.conj().T) / 2)
-    pair = block @ rot
-    if abs(sz_vals[0] + 0.5) > SZ_LABEL_TOL or abs(sz_vals[1] - 0.5) > SZ_LABEL_TOL:
-        raise GroundDoubletError(
-            f"ground doublet carries total S_z = {sz_vals}, expected -1/2 and +1/2"
-        )
-    outside = eig.values[len(cluster):]
-    doublet_energy = float(eig.values[cluster].mean())
-    gap = float(outside[0] - doublet_energy) if outside.size else math.inf
-    raw = QubitEncoding(
-        ket0=pair[:, 0],
-        ket1=pair[:, 1],
-        gap=gap,
-        sz0=float(sz_vals[0]),
-        sz1=float(sz_vals[1]),
-    )
-    return regauge(raw, gauge_operator)
+    idx1, block1 = sectors[1]
+    idx0, block0 = sectors[-1]
+    plus, vec1 = _lowest_levels(block1, 2, scale)
+    minus, vec0 = _lowest_levels(block0, 1, scale)
+    if abs(minus[0] - plus[0]) > window:
+        raise ValidationError("+-1/2 ground energies differ: H breaks time reversal")
+    above = list(plus[1:]) + [
+        _lowest_levels(b, 1, scale)[0][0] for key, (_, b) in sectors.items() if key > 1
+    ]
+    gap = float(min(above) - (plus[0] + minus[0]) / 2) if above else math.inf
+    if not gap > window:
+        raise GroundDoubletError(f"no S_z = +-1/2 ground doublet (gap {gap:.3e})")
+    kets = np.zeros((2, spec.dim))
+    kets[0, idx0] = vec0[:, 0]
+    kets[1, idx1] = vec1[:, 0]
+    raw = QubitEncoding(ket0=kets[0], ket1=kets[1], gap=gap, sz0=-0.5, sz1=0.5)
+    return regauge(raw, spec)
 
 
 @dataclass(frozen=True)
@@ -313,31 +333,24 @@ class SiteMatrixElements:
 def doublet_matrix_elements(
     encoding: QubitEncoding, spec: RingSpec
 ) -> SiteMatrixElements:
+    kets = np.stack([encoding.ket0, encoding.ket1])
     dims = spec.site_dims
-    n = spec.n_sites
-    x10 = np.zeros(n, dtype=np.complex128)
-    z00 = np.zeros(n, dtype=np.complex128)
-    z11 = np.zeros(n, dtype=np.complex128)
-    kets = np.stack([encoding.ket0, encoding.ket1], axis=1)
-    for m in range(n):
-        sx, _, sz = _real_factors(spec.sites[m])
-        x10[m] = np.vdot(encoding.ket1, _on_site(sx, m, encoding.ket0, dims))
-        z_kets = _on_site(sz, m, kets, dims)
-        z00[m] = np.vdot(encoding.ket0, z_kets[:, 0])
-        z11[m] = np.vdot(encoding.ket1, z_kets[:, 1])
+    x10 = [
+        np.vdot(kets[1], _on_site(spin_operators(s)[0].real, k, kets[0], dims))
+        for k, s in enumerate(spec.sites)
+    ]
+    # tau_z is diagonal in the product basis: <v|tau_{k,z}|v> = sum_i |v_i|^2 m_k(i)
+    z00, z11 = np.abs(kets) ** 2 @ _product_basis(spec)[0] / 2.0
+    x10, z00, z11 = (np.asarray(v, dtype=np.complex128) for v in (x10, z00, z11))
     return SiteMatrixElements(x10=x10, z00=z00, z11=z11)
 
 
 def ring_qubit_encoding(
     spec: RingSpec, dim_cap: int = DEFAULT_DIM_CAP
 ) -> tuple[QubitEncoding, SiteMatrixElements]:
-    """Full pipeline for one ring: Hamiltonian, doublet, matrix elements.
+    """Full pipeline for one ring: sector blocks, doublet, matrix elements.
 
     The gauge reference is site 1 (the first site).
     """
-    h = build_ring_hamiltonian(spec, dim_cap=dim_cap)
-    sz = total_sz_operator(spec)
-    tau_x = _real_factors(spec.sites[0])[0]
-    gauge = _on_site(tau_x, 0, np.eye(spec.dim), spec.site_dims)
-    enc = ground_doublet(h, sz, gauge_operator=gauge)
+    enc = ground_doublet(build_ring_hamiltonian(spec, dim_cap=dim_cap), spec)
     return enc, doublet_matrix_elements(enc, spec)

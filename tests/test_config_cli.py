@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringstar
 from ringstar import cli
 from ringstar.config import (
     branch_from,
@@ -442,6 +446,41 @@ def test_cli_sweep_aniso(tmp_path):
     assert lines[0] == "a,d,b,gamma,delta,gap,status"
     assert len(lines) == 4
     assert all(line.endswith("ok") for line in lines[1:])
+
+
+def test_cli_sweep_aniso_reaches_the_cr7ni_ring(tmp_path):
+    # x = 7 is 4^7 * 3 = 49152 product states, over the default cap
+    sweep = {"kind": "b", "b_values": [0.5, 1.0, 2.0], "x": 7}
+    cfg = write_json(tmp_path / "cfg.json", {"sweep": sweep, "dim_cap": 49152})
+    out = tmp_path / "aniso.csv"
+    assert run_cli("sweep-aniso", "--config", cfg, "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(row[6] == "ok" for row in rows)
+    assert all(abs(float(row[5]) - 13.602932) < 1e-6 for row in rows)
+
+    capped = write_json(tmp_path / "capped.json", {"sweep": sweep})
+    refused = tmp_path / "refused.csv"
+    assert run_cli("sweep-aniso", "--config", capped, "--out", str(refused)) == 5
+    assert not refused.exists()
+
+
+def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded():
+    code = (
+        "import sys\n"
+        "heavy = ('scipy.optimize', 'scipy.sparse')\n"
+        "import ringstar.cli\n"
+        "assert not [m for m in heavy if m in sys.modules], 'import ringstar.cli'\n"
+        "from ringstar.rings import RingSpec, ring_qubit_encoding\n"
+        "ring_qubit_encoding(RingSpec.cr_ni(3))\n"
+        "assert not [m for m in heavy if m in sys.modules], 'x = 3 encoding'\n"
+    )
+    src = str(Path(ringstar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_validate(tmp_path):

@@ -22,10 +22,7 @@ from ringstar.rings import (
     doublet_matrix_elements,
     regauge,
     ring_qubit_encoding,
-    spin_operators,
 )
-
-from kron_reference import site_operator
 
 SPIN_HALF = RingSpec(sites=(0.5,), bond_couplings=(0.0,), crystal_fields=(0.0,))
 
@@ -61,7 +58,6 @@ def test_gauge_independence():
     # couplings are formed.
     spec = RingSpec.cr_ni(3)
     enc, elems = ring_qubit_encoding(spec)
-    gauge = site_operator(spin_operators(spec.sites[0])[0], 0, spec.site_dims)
     links = [Linker(1, 2, 1.0), Linker(4, 4, 2.0)]
     base = effective_coupling(elems, elems, links)
     rng = np.random.default_rng(5)
@@ -74,7 +70,7 @@ def test_gauge_independence():
             sz0=enc.sz0,
             sz1=enc.sz1,
         )
-        refixed = regauge(rotated, gauge)
+        refixed = regauge(rotated, spec)
         twisted = doublet_matrix_elements(refixed, spec)
         out = effective_coupling(twisted, elems, links)
         assert abs(out.gamma - base.gamma) < 1e-10

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringstar.errors import DimensionCapError, GroundDoubletError
+from ringstar.errors import DimensionCapError, GroundDoubletError, ValidationError
 from ringstar.rings import (
+    DENSE_SECTOR_MAX,
     QubitEncoding,
     RingSpec,
+    _lowest_levels,
     _on_site,
     build_ring_hamiltonian,
     doublet_matrix_elements,
@@ -20,7 +22,12 @@ from ringstar.rings import (
     total_sz_operator,
 )
 
-from kron_reference import site_operator
+from kron_reference import (
+    kron_ring_hamiltonian,
+    reference_encoding,
+    scatter,
+    site_operator,
+)
 
 
 def test_spin_half_operators_are_half_paulis():
@@ -55,19 +62,19 @@ def test_ring_spec_validation():
 def test_two_site_ring_counts_its_bond_twice():
     # the closing bond coincides with bond 1, so J=1 gives 2 J tau.tau
     spec = RingSpec(sites=(0.5, 0.5), bond_couplings=(1.0, 1.0), crystal_fields=(0.0, 0.0))
-    values = np.linalg.eigvalsh(build_ring_hamiltonian(spec))
+    values = np.linalg.eigvalsh(scatter(build_ring_hamiltonian(spec), spec.dim))
     assert np.allclose(values, [-1.5, 0.5, 0.5, 0.5], atol=1e-13)
 
 
 def test_ring_hamiltonian_and_total_sz_are_real():
     spec = RingSpec.cr_ni(3)
-    assert build_ring_hamiltonian(spec).dtype == np.float64
+    assert all(b.dtype == np.float64 for _, b in build_ring_hamiltonian(spec).values())
     assert total_sz_operator(spec).dtype == np.float64
 
 
 def test_hamiltonian_is_hermitian_and_conserves_sz():
     spec = RingSpec.cr_ni(2)
-    h = build_ring_hamiltonian(spec)
+    h = scatter(build_ring_hamiltonian(spec), spec.dim)
     assert np.abs(h - h.conj().T).max() < 1e-12
     sz = total_sz_operator(spec)
     assert np.abs(h @ sz - sz @ h).max() < 1e-10
@@ -123,7 +130,7 @@ def test_independent_reconstruction_cr3ni():
         h += d * (site_operator(sz @ sz, site, dims) - s * (s + 1) / 3.0 * np.eye(total))
 
     spec = RingSpec.cr_ni(3, exchange=j, ratio=a, crystal_field=d)
-    mine = build_ring_hamiltonian(spec)
+    mine = scatter(build_ring_hamiltonian(spec), spec.dim)
     assert np.abs(mine - h).max() < 1e-10
 
     # doublet data straight from the raw matrix
@@ -162,21 +169,32 @@ def test_site_mirror_only_with_symmetric_bonds():
 
 
 def test_ferromagnetic_ring_has_no_doublet():
+    # all 12 sectors hold one level of the S = 11/2 multiplet, degenerate to
+    # rounding: only the minimum-gap window tells this from a doublet
     spec = RingSpec.cr_ni(3, exchange=-17.0, crystal_field=0.0)
-    h = build_ring_hamiltonian(spec)
-    sz = total_sz_operator(spec)
     with pytest.raises(GroundDoubletError):
-        ground_doublet(h, sz)
+        ground_doublet(build_ring_hamiltonian(spec), spec)
+
+
+def test_broken_time_reversal_is_refused():
+    spec = RingSpec.cr_ni(3)
+    sectors = build_ring_hamiltonian(spec)
+    idx, block = sectors[-1]
+    sectors[-1] = (idx, block + 1e-3 * np.eye(idx.size))
+    with pytest.raises(ValidationError, match="time reversal"):
+        ground_doublet(sectors, spec)
 
 
 def test_encoding_is_deterministic_bit_for_bit():
-    spec = RingSpec.cr_ni(3)
-    enc1, el1 = ring_qubit_encoding(spec)
-    enc2, el2 = ring_qubit_encoding(spec)
-    assert np.array_equal(enc1.ket0, enc2.ket0)
-    assert np.array_equal(enc1.ket1, enc2.ket1)
-    assert np.array_equal(el1.x10, el2.x10)
-    assert np.array_equal(el1.z00, el2.z00)
+    # x = 5 takes the Lanczos branch for its +-1/2 sectors
+    for x in (3, 5):
+        spec = RingSpec.cr_ni(x)
+        enc1, el1 = ring_qubit_encoding(spec)
+        enc2, el2 = ring_qubit_encoding(spec)
+        assert np.array_equal(enc1.ket0, enc2.ket0)
+        assert np.array_equal(enc1.ket1, enc2.ket1)
+        assert np.array_equal(el1.x10, el2.x10)
+        assert np.array_equal(el1.z00, el2.z00)
 
 
 def test_matrix_elements_match_direct_sandwiches():
@@ -203,27 +221,6 @@ def test_on_site_matches_kron_for_a_non_symmetric_matrix():
         assert np.abs(_on_site(op, site, states[:, 0], dims) - reference[:, 0]).max() < 1e-13
 
 
-def kron_ring_hamiltonian(spec):
-    """The ring Hamiltonian summed from Kronecker-embedded spin matrices."""
-    dims = spec.site_dims
-    n = spec.n_sites
-    taus = [spin_operators(s) for s in spec.sites]
-    h = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    for k in range(n):
-        nxt = (k + 1) % n
-        for axis in range(3):
-            h += spec.bond_couplings[k] * (
-                site_operator(taus[k][axis], k, dims)
-                @ site_operator(taus[nxt][axis], nxt, dims)
-            )
-    for k, s in enumerate(spec.sites):
-        sz = taus[k][2]
-        h += spec.crystal_fields[k] * (
-            site_operator(sz @ sz, k, dims) - s * (s + 1) / 3.0 * np.eye(spec.dim)
-        )
-    return h
-
-
 @st.composite
 def random_rings(draw):
     n = draw(st.integers(min_value=1, max_value=4))
@@ -243,9 +240,10 @@ def random_rings(draw):
 @example(RingSpec.cr_ni(3, exchange=-17.0, crystal_field=-0.3), 2)
 def test_property_ring_operators_match_kron_reference(spec, seed):
     dims = spec.site_dims
-    h = build_ring_hamiltonian(spec)
+    sectors = build_ring_hamiltonian(spec)
+    assert all(b.dtype == np.float64 for _, b in sectors.values())
+    h = scatter(sectors, spec.dim)
     reference = kron_ring_hamiltonian(spec)
-    assert h.dtype == np.float64
     assert np.abs(h - reference).max() <= 1e-12 * np.abs(reference).max()
 
     sz_reference = sum(
@@ -265,3 +263,55 @@ def test_property_ring_operators_match_kron_reference(spec, seed):
         assert abs(np.vdot(kets[1], tx @ kets[0]) - elems.x10[m]) < 1e-12
         assert abs(np.vdot(kets[0], tz @ kets[0]) - elems.z00[m]) < 1e-12
         assert abs(np.vdot(kets[1], tz @ kets[1]) - elems.z11[m]) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_rings())
+@example(RingSpec.cr_ni(1))
+@example(RingSpec.cr_ni(2))  # integer total spin: no +-1/2 sectors
+@example(RingSpec.cr_ni(3, exchange=-17.0, crystal_field=0.0))
+@example(RingSpec(sites=(0.5,), bond_couplings=(0.0,), crystal_fields=(0.0,)))
+@example(RingSpec((1.5, 1.0), bond_couplings=(2.0, -0.5), crystal_fields=(0.3, -1.1)))
+@example(RingSpec((1.5, 0.5, 2.0), bond_couplings=(3.0, 1.0, 2.0), crystal_fields=(-9.0, 0.0, -7.0)))
+@example(RingSpec((0.5, 0.5, 0.5), bond_couplings=(0.0, 1e-06, -3.0), crystal_fields=(0.0, 0.0, 0.0)))
+@example(RingSpec((0.5, 1.5, 0.5), bond_couplings=(2.0, 0.0, 0.0), crystal_fields=(0.0, 3.0, 0.0)))
+def test_property_sector_encoding_matches_dense_reference(spec):
+    try:
+        gap, x10, z00, z11 = reference_encoding(spec)
+    except GroundDoubletError:
+        with pytest.raises(GroundDoubletError):
+            ring_qubit_encoding(spec)
+        return
+    enc, elems = ring_qubit_encoding(spec)
+    assert enc.gap == gap or abs(enc.gap - gap) < 1e-10
+    # both routes perturb a doublet ket by about (rounding of H) / gap, so a
+    # gap barely above the window leaves the kets, not the method, uncertain
+    scale = max(max(abs(b).max() for _, b in build_ring_hamiltonian(spec).values()), 1.0)
+    tol = 1e-10 + 1e-14 * scale / gap
+    if abs(x10[0]) < 1e-9:
+        # <1|tau_{1,x}|0> vanishes, so the phase of |1> falls to a
+        # largest-entry rule whose entries can tie: compare up to that phase
+        x10 = x10 * np.exp(1j * np.angle(np.vdot(x10, elems.x10)))
+    assert np.abs(elems.x10 - x10).max() < tol
+    assert np.abs(elems.z00 - z00).max() < tol
+    assert np.abs(elems.z11 - z11).max() < tol
+
+
+def test_lanczos_branch_matches_dense_eigh_on_x5_blocks():
+    spec = RingSpec.cr_ni(5)
+    sectors = build_ring_hamiltonian(spec)
+    large = [two_m for two_m, (idx, _) in sectors.items() if idx.size > DENSE_SECTOR_MAX]
+    assert {1, -1, 3} <= set(large)
+    scale = max(abs(b).max() for _, b in sectors.values())
+    for two_m in large:
+        block = sectors[two_m][1]
+        assert not isinstance(block, np.ndarray)
+        dense = block.toarray()
+        assert np.array_equal(dense, dense.T)
+        values, vectors = _lowest_levels(block, 2, scale)
+        exact, exact_vectors = np.linalg.eigh(dense)
+        assert np.abs(values - exact[:2]).max() < 1e-10 * scale
+        # each Lanczos vector is the dense one up to sign (no degeneracy here)
+        assert exact[1] - exact[0] > 1e-3 * scale
+        overlaps = np.abs(exact_vectors[:, :2].T @ vectors)
+        assert np.abs(np.diag(overlaps) - 1.0).max() < 1e-10

@@ -255,20 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ringstar",
         description="Star-network qubit dynamics: spectra, protocols, sweeps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--k", type=int, default=None, help="winding override")
-        p.add_argument(
-            "--branch", choices=("plus", "minus"), default=None,
-            help="coupling-ratio branch override",
-        )
-        p.add_argument(
-            "--z-convention", choices=("halfspin", "pauli"), default=None,
-            dest="z_convention", help="full-space z operator convention",
-        )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("--k", type=int, default=None, help="winding override")
+    parser.add_argument(
+        "--branch", choices=("plus", "minus"), default=None,
+        help="coupling-ratio branch override",
+    )
+    parser.add_argument(
+        "--z-convention", choices=("halfspin", "pauli"), default=None,
+        dest="z_convention", help="full-space z operator convention",
+    )
     return parser
 
 

@@ -35,11 +35,10 @@ from .star import (
     propagate,
 )
 
-# 14 qubits take about 10 MB: the CSR Hamiltonian (1.2e5 entries, 2.5 MB), its
-# transpose, and at most 14 Krylov columns of 2^14 amplitudes (3.7 MB).
+# 14 qubits peak at about 9 MB: partner indices and hop weights (1.7 MB each),
+# the 13 weighted terms of one H.v (3.4 MB), 14 Krylov columns (3.7 MB).
 QUBIT_CAP = 14
 LEAKAGE_THRESHOLD = 1e-12
-SUBSPACE_BLOCK_TOL = 1e-10
 KRYLOV_RTOL = 1e-14
 _ZZ_BY_CONVENTION = {"halfspin": 0.25, "pauli": 1.0}  # (S^z)^2: S^z = +-1/2 or +-1
 
@@ -56,33 +55,54 @@ def _check_request(n_sites: int, z_convention: str) -> float:
     return _ZZ_BY_CONVENTION[z_convention]
 
 
+@dataclass(frozen=True)
+class FullSpaceHamiltonian:
+    """Matrix-free H v = diagonal * v + sum_i hops[i] * v[partners[i]]: each
+    row k couples to one partner per term i, partners and hops (terms, dim)."""
+
+    diagonal: np.ndarray
+    partners: np.ndarray
+    hops: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.diagonal.size, self.diagonal.size)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.diagonal * v + (self.hops * v[self.partners]).sum(0)
+
+    def norm_inf(self) -> float:  # largest absolute row sum
+        return float((np.abs(self.diagonal) + np.abs(self.hops).sum(0)).max())
+
+    def toarray(self) -> np.ndarray:
+        dense = np.diag(self.diagonal).astype(np.complex128)
+        rows = np.broadcast_to(np.arange(self.diagonal.size), self.partners.shape)
+        np.add.at(dense, (rows, self.partners), self.hops)
+        return dense
+
+
 def full_space_hamiltonian(
     network: StarNetwork, z_convention: str = "halfspin"
-) -> sparse.csr_array:
-    """Sparse 2^(N+1)-dimensional star Hamiltonian (qubits 1..N then center):
-    bit N - i + 1 of a basis index is qubit i and bit 0 the center, and site i
+) -> FullSpaceHamiltonian:
+    """The 2^(N+1)-dimensional star Hamiltonian (qubits 1..N then center): bit
+    N - i + 1 of a basis index is qubit i and bit 0 the center, and site i
     couples the two states in which exactly one of i and the center is up."""
-    from scipy import sparse
-
     n = network.n_sites
     zz = _check_request(n, z_convention)
     k = np.arange(2 ** (n + 1))
     center = k & 1
-    diag = np.zeros(k.size)
-    rows, cols, vals = [k], [k], [diag]
+    diagonal = np.zeros(k.size)
+    partners = np.empty((n, k.size), dtype=k.dtype)
+    hops = np.zeros((n, k.size))
     for i, (gamma, delta) in enumerate(zip(network.gammas, network.deltas)):
         bit = (k >> (n - i)) & 1
-        diag += (gamma / 2.0) * (1.0 + delta) * zz * np.where(bit == center, 1.0, -1.0)
-        flip = np.flatnonzero(bit != center)
-        rows.append(flip)
-        cols.append(flip ^ ((1 << (n - i)) | 1))
-        vals.append(np.full(flip.size, gamma / 2.0))
-    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    h = sparse.csr_array(entries, shape=(k.size, k.size), dtype=np.complex128)
-    h.eliminate_zeros()
-    if max_entry_norm(h - h.conj().T) > HERMITICITY_RTOL * max_entry_norm(h):
+        diagonal += (gamma / 2.0) * (1.0 + delta) * zz * np.where(bit == center, 1.0, -1.0)
+        partners[i] = k ^ ((1 << (n - i)) | 1)
+        hops[i, bit != center] = gamma / 2.0
+    scale = max(max_entry_norm(diagonal), max_entry_norm(hops))
+    if max_entry_norm(np.take_along_axis(hops, partners, 1) - hops) > HERMITICITY_RTOL * scale:
         raise ValidationError("full-space Hamiltonian is not Hermitian")
-    return h
+    return FullSpaceHamiltonian(diagonal, partners, hops)
 
 
 def single_excitation_indices(n_sites: int) -> list[int]:
@@ -117,34 +137,6 @@ def project_to_subspace(full_state, n_sites: int) -> tuple[np.ndarray, np.ndarra
     return amps, np.maximum(leakage, 0.0)
 
 
-def subspace_block(h_full, n_sites: int) -> np.ndarray:
-    """Restrict a full-space Hamiltonian to the single-excitation basis.
-
-    Any coupling from that basis to the rest of the space above the tolerance
-    means the restriction would not be autonomous, which is an error.
-    """
-    from scipy import sparse
-
-    h = sparse.csr_array(h_full, dtype=np.complex128)
-    dim = 2 ** (n_sites + 1)
-    if h.shape != (dim, dim):
-        raise ValidationError(
-            f"full Hamiltonian must be {dim} x {dim} for {n_sites} sites"
-        )
-    idx = single_excitation_indices(n_sites)
-    scale = max(max_entry_norm(h), 1.0)
-    mask = np.ones(dim, dtype=bool)
-    mask[idx] = False
-    off = abs(h[np.ix_(idx, np.nonzero(mask)[0])])
-    worst = float(off.max()) if off.size else 0.0
-    if worst > SUBSPACE_BLOCK_TOL * scale:
-        raise ValidationError(
-            f"single-excitation sector is not closed: coupling {worst:.3e} "
-            "leaks to other sectors"
-        )
-    return h[np.ix_(idx, idx)].toarray()
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """One cross-validation row; threshold None means reported, not asserted."""
@@ -173,7 +165,7 @@ class ValidationReport:
 
 
 def krylov_project(
-    h_full, full_state, times, n_sites: int
+    h_full: FullSpaceHamiltonian, full_state, times, n_sites: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """`project_to_subspace` of exp(-i H t) |state> at every time of a 1-d grid.
 
@@ -184,7 +176,7 @@ def krylov_project(
     v = np.asarray(full_state, dtype=np.complex128)
     norm = float(np.linalg.norm(v))
     basis, alphas, betas = [v / norm], [], []
-    tol = KRYLOV_RTOL * float(abs(h_full).sum(axis=1).max())
+    tol = KRYLOV_RTOL * h_full.norm_inf()
     while True:
         vs = np.array(basis)
         w = h_full @ basis[-1]

@@ -26,13 +26,17 @@ def format_cell(value) -> str:
 
 
 def render_csv(header: list[str], rows: list[tuple]) -> str:
+    all_floats = ",".join(["%.17g"] * len(header))  # what format_cell gives floats
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
             raise ValueError(
                 f"row width {len(row)} does not match header width {len(header)}"
             )
-        lines.append(",".join(format_cell(cell) for cell in row))
+        if all(isinstance(cell, float) for cell in row):
+            lines.append(all_floats % tuple(row))
+        else:
+            lines.append(",".join(format_cell(cell) for cell in row))
     return "\n".join(lines) + "\n"
 
 

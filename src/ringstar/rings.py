@@ -40,6 +40,10 @@ DENSE_SECTOR_MAX = 200  # larger sectors are diagonalised by sparse Lanczos
 # closer than this count as degenerate with the ground level
 GROUND_CLUSTER_RTOL = 1e-8
 
+# the phase pivot of a ket is its first entry within this fraction of the
+# largest magnitude, so rounding cannot pick between tied entries
+PIVOT_RTOL = 1e-6
+
 
 def _check_spin(s: float) -> float:
     two_s = round(2 * float(s))
@@ -235,10 +239,10 @@ class QubitEncoding:
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:
-    j = int(np.argmax(np.abs(vec)))
-    pivot = vec[j]
-    if abs(pivot) == 0.0:
+    mags = np.abs(vec)
+    if mags.max() == 0.0:
         return vec
+    pivot = vec[int(np.argmax(mags >= (1.0 - PIVOT_RTOL) * mags.max()))]
     return vec * (pivot.conj() / abs(pivot))
 
 
@@ -246,8 +250,8 @@ def regauge(encoding: QubitEncoding, spec: RingSpec | None = None) -> QubitEncod
     """Reapply the deterministic phase convention to a doublet.
 
     Strips whatever overall phases |0> and |1> carry (an eigensolver is free
-    to pick any): |0> is rotated so its largest-magnitude entry is real
-    positive, |1> so that <1|tau_{1,x}|0> on site 1 of `spec` is real
+    to pick any): |0> is rotated so its largest-magnitude entry (PIVOT_RTOL)
+    is real positive, |1> so that <1|tau_{1,x}|0> on site 1 of `spec` is real
     non-negative.  Without a spec, or when that matrix element vanishes, |1>
     falls back to the same largest-entry convention.
     """

@@ -62,9 +62,15 @@ def scatter(sectors, dim: int) -> np.ndarray:
     return h
 
 
+# the library's pivot tie window, restated: the first entry within this
+# fraction of the largest magnitude is made real positive
+PIVOT_RTOL = 1e-6
+
+
 def _largest_entry_real(vec: np.ndarray) -> np.ndarray:
-    pivot = vec[int(np.argmax(np.abs(vec)))]
-    return vec * (np.conj(pivot) / abs(pivot))
+    mags = np.abs(vec)
+    first = np.flatnonzero(mags >= (1.0 - PIVOT_RTOL) * mags.max())[0]
+    return vec * (np.conj(vec[first]) / mags[first])
 
 
 def reference_encoding(spec):
@@ -73,7 +79,8 @@ def reference_encoding(spec):
     Diagonalise the whole Kronecker Hamiltonian, take the levels within
     CLUSTER_RTOL of the ground level, require exactly two, rotate them to
     total-S_z eigenstates -1/2 and +1/2, and fix the phase of |1> by making
-    <1|tau_{1,x}|0> real >= 0 (largest entry real positive when it vanishes).
+    <1|tau_{1,x}|0> real >= 0 (largest entry real positive when it vanishes,
+    the first of the entries that tie within PIVOT_RTOL).
     """
     dims = spec.site_dims
     taus = [spin_operators(s) for s in spec.sites]

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ringstar
 from ringstar import cli
@@ -267,6 +269,32 @@ def test_render_csv():
         render_csv(["a"], [(1, 2)])
 
 
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 1e-300, -5e-324, math.inf, -math.inf, math.nan]
+)
+_CELLS = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | _FLOATS | _FLOATS.map(np.float64)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda width: st.lists(
+        st.lists(_FLOATS, min_size=width, max_size=width)
+        | st.lists(_CELLS, min_size=width, max_size=width).map(tuple),
+        max_size=8,
+    ).map(lambda rows: (width, rows))
+))
+@example((3, [[-0.0, 1e-300, math.inf], [math.nan, -math.inf, 0.1], (None, True, 7)]))
+@example((2, [(np.float64(-0.0), 2.5), ("x", 1.0), (False, -3)]))
+def test_property_render_csv_float_rows_match_format_cell(case):
+    width, rows = case
+    header = [f"c{j}" for j in range(width)]
+    cellwise = [",".join(header)] + [",".join(format_cell(c) for c in row) for row in rows]
+    assert render_csv(header, rows) == "\n".join(cellwise) + "\n"
+
+
 def test_sibling_path():
     assert sibling_path("out/run.csv", "network") == "out/run-network.csv"
     assert sibling_path("plain", "program") == "plain-program.csv"
@@ -465,7 +493,9 @@ def test_cli_sweep_aniso_reaches_the_cr7ni_ring(tmp_path):
     assert not refused.exists()
 
 
-def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded():
+def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded(tmp_path):
+    # the full-space oracle is numpy only: a validate job loads no scipy at all
+    cfg = str(CONFIGS / "center-w.json")
     code = (
         "import sys\n"
         "heavy = ('scipy.optimize', 'scipy.sparse')\n"
@@ -474,13 +504,20 @@ def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded():
         "from ringstar.rings import RingSpec, ring_qubit_encoding\n"
         "ring_qubit_encoding(RingSpec.cr_ni(3))\n"
         "assert not [m for m in heavy if m in sys.modules], 'x = 3 encoding'\n"
+        "from ringstar.cli import main\n"
+        "assert main(['validate', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, f'validate loaded {loaded}'\n"
     )
     src = str(Path(ringstar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "checks.csv"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, cfg, str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert out.read_text().count(",true") == 3
 
 
 def test_cli_validate(tmp_path):
@@ -504,6 +541,24 @@ def test_cli_config_error_exit(tmp_path):
     out = tmp_path / "x.csv"
     assert run_cli("spectrum", "--config", str(bad), "--out", str(out)) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus", "--config", "{cfg}", "--out", "{out}"],  # unknown command
+        ["--config", "{cfg}", "--out", "{out}"],  # missing command
+        ["wgen", "--out", "{out}"],  # missing --config
+    ],
+)
+def test_cli_usage_errors_exit_2_and_write_nothing(tmp_path, capsys, argv):
+    cfg = effective_uniform(tmp_path, delta=-1.0)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(a.format(cfg=cfg, out=out) for a in argv))
+    assert exc.value.code == 2
+    assert "usage: ringstar" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [Path(cfg).name]
 
 
 def test_cli_validation_error_exit(tmp_path):

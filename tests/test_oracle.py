@@ -8,20 +8,19 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 import ringstar.oracle
 from ringstar.errors import DimensionCapError, ValidationError
 from ringstar.oracle import (
     QUBIT_CAP,
     CheckResult,
+    FullSpaceHamiltonian,
     cross_validate,
     embed_in_full_space,
     full_space_hamiltonian,
     krylov_project,
     project_to_subspace,
     single_excitation_indices,
-    subspace_block,
 )
 from ringstar.star import StarNetwork, build_effective_hamiltonian, uniform_star
 
@@ -51,6 +50,34 @@ def reference_hamiltonian(network, z_convention="halfspin"):
         zz = _pair_operator(sz, i, sz, n)
         h += (network.gammas[i] / 2.0) * (flip + (1.0 + network.deltas[i]) * zz)
     return h
+
+
+SUBSPACE_BLOCK_TOL = 1e-10
+
+
+def subspace_block(h_full, n_sites: int) -> np.ndarray:
+    """Restrict a full-space Hamiltonian (dense, or the library's matrix-free
+    operator) to the single-excitation basis; any coupling from that basis to
+    the rest of the space above the tolerance is an error."""
+    if isinstance(h_full, FullSpaceHamiltonian):
+        h_full = h_full.toarray()
+    h = np.asarray(h_full, dtype=np.complex128)
+    dim = 2 ** (n_sites + 1)
+    if h.shape != (dim, dim):
+        raise ValidationError(f"full Hamiltonian must be {dim} x {dim} for {n_sites} sites")
+    idx = single_excitation_indices(n_sites)
+    rest = np.setdiff1d(np.arange(dim), idx)
+    worst = float(np.abs(h[np.ix_(idx, rest)]).max(initial=0.0))
+    if worst > SUBSPACE_BLOCK_TOL * max(float(np.abs(h).max()), 1.0):
+        raise ValidationError(f"single-excitation sector is not closed: coupling {worst:.3e}")
+    return h[np.ix_(idx, idx)]
+
+
+def with_extra_term(h, partners, hops) -> FullSpaceHamiltonian:
+    """The operator h plus one more term: row k couples to partners[k] with weight hops[k]."""
+    return FullSpaceHamiltonian(
+        h.diagonal, np.vstack([h.partners, partners]), np.vstack([h.hops, hops])
+    )
 
 
 def number_operator(n_qubits: int) -> np.ndarray:
@@ -239,10 +266,33 @@ def test_sparse_hamiltonian_equals_kron_reference():
             for network in (net, StarNetwork(gammas=g, deltas=d)):
                 for convention in ("halfspin", "pauli"):
                     h = full_space_hamiltonian(network, convention)
-                    assert sparse.issparse(h) and h.format == "csr"
-                    assert h.nnz <= (n + 1) * 2 ** (n + 1)
+                    assert isinstance(h, FullSpaceHamiltonian)
+                    assert h.shape == (2 ** (n + 1),) * 2
+                    assert h.partners.shape == h.hops.shape == (n, 2 ** (n + 1))
                     reference = reference_hamiltonian(network, convention)
                     assert np.array_equal(h.toarray(), reference)
+                    row_sum = np.abs(reference).sum(axis=1).max()
+                    assert abs(h.norm_inf() - row_sum) <= 1e-15 * (n + 1) * row_sum
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    regime=st.sampled_from(["transverse", "constrained", "free"]),
+    convention=st.sampled_from(["halfspin", "pauli"]),
+    decoupled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=7, regime="free", convention="pauli", decoupled=True, seed=0)
+def test_property_matvec_matches_kron_reference(n, regime, convention, decoupled, seed):
+    rng = np.random.default_rng(seed)
+    net = _random_couplings(rng, n, regime, decoupled)
+    v = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+    h = full_space_hamiltonian(net, convention)
+    reference = reference_hamiltonian(net, convention)
+    # each row sums at most n + 1 products, so rounding stays far below this
+    bound = 1e-13 * np.abs(reference).sum(axis=1).max() * np.abs(v).max()
+    assert np.abs(h @ v - reference @ v).max() <= bound
 
 
 def test_subspace_block_accepts_sparse():
@@ -251,7 +301,12 @@ def test_subspace_block_accepts_sparse():
     )
     h = full_space_hamiltonian(net, "pauli")
     assert np.array_equal(subspace_block(h, 3), subspace_block(h.toarray(), 3))
-    broken = h + sparse.csr_array(([1e-3, 1e-3], ([8, 0], [0, 8])), shape=h.shape)
+    swap = np.arange(16)
+    swap[[0, 8]] = [8, 0]
+    weights = np.zeros(16)
+    weights[[0, 8]] = 1e-3
+    broken = with_extra_term(h, swap, weights)  # couples |psi_1> (index 8) to |0000>
+    assert np.abs(broken.toarray() - h.toarray()).max() == 1e-3
     with pytest.raises(ValidationError):
         subspace_block(broken, 3)
 
@@ -304,9 +359,10 @@ def test_number_breaking_term_shows_as_leakage():
         gammas=np.array([1.0, -0.5, 0.8]), deltas=np.array([-1.0, 0.2, -1.0])
     )
     h = full_space_hamiltonian(net)
-    sigma_x = sparse.csr_array([[0.0, 1.0], [1.0, 0.0]])
-    sigma_x_center = sparse.kron(sparse.identity(8), sigma_x)  # center is bit 0
-    broken = (h + 0.3 * sigma_x_center).tocsr()
+    k = np.arange(16)
+    broken = with_extra_term(h, k ^ 1, np.full(16, 0.3))  # 0.3 sigma_x on the center
+    sigma_x_center = np.kron(np.eye(8), [[0.0, 1.0], [1.0, 0.0]])  # center is bit 0
+    assert np.array_equal(broken.toarray(), h.toarray() + 0.3 * sigma_x_center)
     full0 = embed_in_full_space(np.array([0.6, 0.0, 0.8j, 0.0]), 3)
     times = np.linspace(0.0, 4.0, 9)
     projected, leakage = krylov_project(broken, full0, times, 3)

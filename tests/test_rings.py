@@ -17,6 +17,7 @@ from ringstar.rings import (
     build_ring_hamiltonian,
     doublet_matrix_elements,
     ground_doublet,
+    regauge,
     ring_qubit_encoding,
     spin_operators,
     total_sz_operator,
@@ -288,13 +289,24 @@ def test_property_sector_encoding_matches_dense_reference(spec):
     # gap barely above the window leaves the kets, not the method, uncertain
     scale = max(max(abs(b).max() for _, b in build_ring_hamiltonian(spec).values()), 1.0)
     tol = 1e-10 + 1e-14 * scale / gap
-    if abs(x10[0]) < 1e-9:
-        # <1|tau_{1,x}|0> vanishes, so the phase of |1> falls to a
-        # largest-entry rule whose entries can tie: compare up to that phase
-        x10 = x10 * np.exp(1j * np.angle(np.vdot(x10, elems.x10)))
     assert np.abs(elems.x10 - x10).max() < tol
     assert np.abs(elems.z00 - z00).max() < tol
     assert np.abs(elems.z11 - z11).max() < tol
+
+
+def test_regauge_breaks_magnitude_ties_by_first_index():
+    # the two largest entries tie up to rounding; whichever of them rounds
+    # larger, the first is the pivot, so the gauge does not follow the solver
+    tied = np.array([0.0, 1.0, 0.0, -1.0]) / np.sqrt(2.0)
+    for wobble in (1.0 - 4e-16, 1.0, 1.0 + 4e-16, 1.0 + 1e-9):
+        ket = tied * [1.0, 1.0, 1.0, wobble]
+        enc = QubitEncoding(ket0=ket, ket1=-1j * ket, gap=1.0, sz0=-0.5, sz1=0.5)
+        fixed = regauge(enc)
+        assert fixed.ket0[1] == fixed.ket1[1] == tied[1]
+        assert fixed.ket0[3] < 0.0 and fixed.ket1[3] < 0.0
+    # outside the tie window the larger entry is the pivot
+    clear = tied * [1.0, 1.0, 1.0, 1.0 + 1e-3]
+    assert regauge(QubitEncoding(clear, clear, 1.0, -0.5, 0.5)).ket0[3] > 0.0
 
 
 def test_lanczos_branch_matches_dense_eigh_on_x5_blocks():

@@ -2,7 +2,9 @@
 
 `perfbench/tracing.py` lists them in `WRAPPED`, and `Tracer.install` looks
 each one up with `getattr`, so a renamed or deleted function would crash
-every traced benchmark run.  The tracer is loaded from its file, read-only.
+every traced benchmark run.  Some entries also carry a hook that reads
+attributes of the wrapped function's result, so a changed return type would
+crash it too.  The tracer is loaded from its file, read-only.
 """
 from __future__ import annotations
 
@@ -10,13 +12,21 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from ringstar.oracle import full_space_hamiltonian
+from ringstar.star import uniform_star
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_name_exists():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_exists():
+    tracing = _load_tracing()
     missing = [
         f"ringstar.{layer}.{name}"
         for layer, functions in tracing.WRAPPED.items()
@@ -24,3 +34,11 @@ def test_every_traced_name_exists():
         if not callable(getattr(importlib.import_module(f"ringstar.{layer}"), name, None))
     ]
     assert tracing.WRAPPED and not missing, missing
+
+
+def test_full_space_hamiltonian_hook_reads_a_real_result():
+    hook = _load_tracing().WRAPPED["oracle"]["full_space_hamiltonian"]
+    network = uniform_star(3, 1.0)
+    result = full_space_hamiltonian(network, "pauli")
+    assert hook((network, "pauli"), {}, result) == {"dim": 16}
+    assert hook((), {"network": network}, full_space_hamiltonian(network)) == {"dim": 16}

@@ -8,6 +8,7 @@ protocol or divergent extraction, 5 dimension cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -250,6 +251,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringstar",

@@ -125,7 +125,7 @@ def plan_w_from_center(network: StarNetwork, winding: int = 0) -> WGenerationPla
             "center-sourced generation needs equal positive couplings"
         )
     t_w = (2 * winding + 1) * math.pi / network.omega
-    state = closed_form_from_center(network, t_w)
+    state = closed_form_from_center(network, [t_w])[0]
     return WGenerationPlan(
         source="center",
         t_w=t_w,
@@ -135,6 +135,16 @@ def plan_w_from_center(network: StarNetwork, winding: int = 0) -> WGenerationPla
         predicted_error=generation_error(state),
         network=network,
     )
+
+
+def _population_ratio(theta1, n: int, branch: str):
+    """The ratio p of `equal_population_ratio` and its discriminant, for one
+    theta_1 or an array of them (p is meaningless where disc < -1e-12)."""
+    cos_t = np.cos(theta1)
+    disc = 2.0 * n * (1.0 - cos_t) - n * n * np.sin(theta1) ** 2
+    root = np.sqrt(np.maximum(disc, 0.0))
+    sign = 1.0 if branch == "plus" else -1.0
+    return (1.0 - n * cos_t + sign * root) / (n - 1) ** 2, disc
 
 
 def equal_population_ratio(theta1: float, n_sites: int, branch: str = "plus") -> float:
@@ -148,25 +158,12 @@ def equal_population_ratio(theta1: float, n_sites: int, branch: str = "plus") ->
         raise ValidationError("population matching needs at least two sites")
     if branch not in ("plus", "minus"):
         raise ValidationError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    n = n_sites
-    cos_t = math.cos(theta1)
-    disc = 2.0 * n * (1.0 - cos_t) - n * n * math.sin(theta1) ** 2
+    p, disc = _population_ratio(theta1, n_sites, branch)
     if disc < -1e-12:
         raise InfeasibleError(
             f"no real coupling ratio: discriminant {disc:.3e} is negative"
         )
-    root = math.sqrt(max(disc, 0.0))
-    sign = 1.0 if branch == "plus" else -1.0
-    return (1.0 - n * cos_t + sign * root) / (n - 1) ** 2
-
-
-def _theta1_at_winding(
-    p: float, n: int, constraint: float, gamma_source: float, winding: int
-) -> float:
-    omega = gamma_source * math.sqrt(1.0 + (n - 1) * p)
-    b = constraint * (n - 1) / (2.0 * omega)
-    beta = b / math.hypot(1.0, b)
-    return winding * math.pi * (beta - 1.0)
+    return float(p)
 
 
 def _solve_ratio(
@@ -175,12 +172,14 @@ def _solve_ratio(
     """Self-consistent p: the ratio that equalizes populations at t_k."""
     from scipy.optimize import brentq
 
-    def residual(p: float) -> float:
-        theta1 = _theta1_at_winding(p, n, constraint, gamma_source, winding)
-        try:
-            return p - equal_population_ratio(theta1, n, branch)
-        except InfeasibleError:
-            return math.nan
+    def residual(p):
+        """p minus the ratio at theta_1(p), for one p or an array; NaN where
+        no real ratio exists."""
+        omega = gamma_source * np.sqrt(1.0 + (n - 1) * p)
+        b = constraint * (n - 1) / (2.0 * omega)
+        theta1 = winding * math.pi * (b / np.hypot(1.0, b) - 1.0)
+        ratio, disc = _population_ratio(theta1, n, branch)
+        return np.where(disc < -1e-12, np.nan, p - ratio)
 
     if constraint == 0.0:
         # theta_1 = -k pi independently of p: the ratio is explicit
@@ -192,21 +191,18 @@ def _solve_ratio(
             )
         return p
     grid = np.geomspace(1e-6, 1e6, 2401)
-    vals = np.array([residual(p) for p in grid])
-    for i in range(len(grid) - 1):
-        f0, f1 = vals[i], vals[i + 1]
-        if math.isnan(f0) or math.isnan(f1):
-            continue
-        if f0 == 0.0:
-            return float(grid[i])
-        if f0 * f1 < 0.0:
-            return float(
-                brentq(residual, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
-            )
-    raise InfeasibleError(
-        f"no self-consistent coupling ratio for winding {winding} "
-        f"(branch {branch}, C={constraint:.6g})"
-    )
+    vals = residual(grid)
+    f0, f1 = vals[:-1], vals[1:]
+    brackets = np.flatnonzero(~np.isnan(f1) & ((f0 == 0.0) | (f0 * f1 < 0.0)))
+    if brackets.size == 0:
+        raise InfeasibleError(
+            f"no self-consistent coupling ratio for winding {winding} "
+            f"(branch {branch}, C={constraint:.6g})"
+        )
+    i = brackets[0]
+    if f0[i] == 0.0:
+        return float(grid[i])
+    return float(brentq(residual, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16))
 
 
 def _site_plan_at_winding(
@@ -228,7 +224,7 @@ def _site_plan_at_winding(
     t_w = 4.0 * winding * math.pi / math.sqrt(
         4.0 * omega**2 + constraint**2 * (n_sites - 1) ** 2
     )
-    state = closed_form_from_site(network, source, t_w)
+    state = closed_form_from_site(network, source, [t_w])[0]
     populations = np.abs(state[:n_sites]) ** 2
     if abs(state[n_sites]) > 1e-8 or np.abs(populations - 1.0 / n_sites).max() > 1e-8:
         raise InfeasibleError(

@@ -27,7 +27,6 @@ closed forms are used with decoupled sites present.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -232,6 +231,13 @@ def basis_state(network: StarNetwork, site: int) -> np.ndarray:
     return v
 
 
+def _time_grid(times) -> np.ndarray:
+    t = np.asarray(times, dtype=np.float64)
+    if t.ndim != 1:
+        raise ValidationError(f"times must be a 1-d grid, got shape {t.shape}")
+    return t
+
+
 def propagate(
     network: StarNetwork, state, times, method: str = "auto"
 ) -> np.ndarray:
@@ -246,9 +252,7 @@ def propagate(
     amps = as_subspace_state(state, network.dim)
     if method not in ("auto", "analytic", "numerical"):
         raise ValidationError(f"unknown method {method!r}")
-    t = np.asarray(times, dtype=np.float64)
-    if t.ndim != 1:
-        raise ValidationError(f"times must be a 1-d grid, got shape {t.shape}")
+    t = _time_grid(times)
     if method == "auto":
         method = "analytic" if network.constraint_holds else "numerical"
     if method == "numerical":
@@ -289,54 +293,52 @@ def phase_angles(network: StarNetwork, time: float) -> tuple[float, float]:
 
 
 def _scalar_amplitudes(
-    c: float, n: int, omega: float, time: float
-) -> tuple[float, complex, complex, complex]:
+    c: float, n: int, omega: float, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """lambda, r, s and the center's return amplitude over a time grid."""
     a = _mixing_parameter(c, n, omega)
-    theta1 = omega * a * time / 2.0
-    theta2 = omega * time / (2.0 * a)
-    lam = cmath.exp(-1j * c * (n - 2) * time / 4.0)
+    lam = np.exp(-1j * c * (n - 2) * t / 4.0)
+    phase1 = np.exp(1j * (omega * a * t / 2.0))  # e^(i theta_1)
+    phase2 = np.exp(-1j * (omega * t / (2.0 * a)))  # e^(-i theta_2)
     denom = 1.0 + a * a
-    r = lam * (cmath.exp(1j * theta1) + a * a * cmath.exp(-1j * theta2)) / denom
-    s = -a * lam * (cmath.exp(1j * theta1) - cmath.exp(-1j * theta2)) / denom
-    return a, lam, r, s
+    r = lam * (phase1 + a * a * phase2) / denom
+    s = -a * lam * (phase1 - phase2) / denom
+    return lam, r, s, lam * (a * a * phase1 + phase2) / denom
 
 
-def closed_form_from_site(network: StarNetwork, site: int, time: float) -> np.ndarray:
-    """State at time t after starting in |psi_site| (outer site, 1-based)."""
+def closed_form_from_site(network: StarNetwork, site: int, times) -> np.ndarray:
+    """States over a 1-d time grid after starting in |psi_site> (outer site,
+    1-based): row k of the (T, N+1) result is the state at times[k]."""
     c = _require_constraint(network, "the closed-form propagator")
     n = network.n_sites
     if not 1 <= site <= n:
         raise ValidationError(f"source site must be in 1..{n}, got {site}")
+    t = _time_grid(times)
     g = network.gammas
     omega = network.omega
     if omega == 0.0:
         # constraint forces C = 0 here, so the Hamiltonian vanishes
-        return basis_state(network, site)
-    _, lam, r, s = _scalar_amplitudes(c, n, omega, time)
+        return np.tile(basis_state(network, site), (t.size, 1))
+    lam, r, s, _ = _scalar_amplitudes(c, n, omega, t)
     gi = g[site - 1]
-    out = np.empty(n + 1, dtype=np.complex128)
-    out[:n] = (g * gi / omega**2) * (r - lam)
-    out[site - 1] = lam - (gi**2 / omega**2) * (lam - r)
-    out[n] = (gi / omega) * s
+    out = np.empty((t.size, n + 1), dtype=np.complex128)
+    out[:, :n] = np.outer(r - lam, g * gi / omega**2)
+    out[:, site - 1] = lam - (gi**2 / omega**2) * (lam - r)
+    out[:, n] = (gi / omega) * s
     return out
 
 
-def closed_form_from_center(network: StarNetwork, time: float) -> np.ndarray:
-    """State at time t after starting with the excitation on the center."""
+def closed_form_from_center(network: StarNetwork, times) -> np.ndarray:
+    """States over a 1-d time grid after starting with the excitation on the
+    center: row k of the (T, N+1) result is the state at times[k]."""
     c = _require_constraint(network, "the closed-form propagator")
     n = network.n_sites
-    g = network.gammas
+    t = _time_grid(times)
     omega = network.omega
     if omega == 0.0:
-        return basis_state(network, n + 1)
-    a, lam, _, s = _scalar_amplitudes(c, n, omega, time)
-    theta1 = omega * a * time / 2.0
-    theta2 = omega * time / (2.0 * a)
-    out = np.empty(n + 1, dtype=np.complex128)
-    out[:n] = (g / omega) * s
-    out[n] = (
-        lam
-        * (a * a * cmath.exp(1j * theta1) + cmath.exp(-1j * theta2))
-        / (1.0 + a * a)
-    )
+        return np.tile(basis_state(network, n + 1), (t.size, 1))
+    _, _, s, center = _scalar_amplitudes(c, n, omega, t)
+    out = np.empty((t.size, n + 1), dtype=np.complex128)
+    out[:, :n] = np.outer(s, network.gammas / omega)
+    out[:, n] = center
     return out

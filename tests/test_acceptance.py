@@ -109,9 +109,9 @@ def test_criterion_2_closed_form_propagators():
         t = float(rng.uniform(-10.0, 10.0))
         source = int(rng.integers(1, n + 2))
         if source == n + 1:
-            analytic = closed_form_from_center(net, t)
+            analytic = closed_form_from_center(net, [t])[0]
         else:
-            analytic = closed_form_from_site(net, source, t)
+            analytic = closed_form_from_site(net, source, [t])[0]
         numeric = evolve_subspace(net, basis_state(net, source), t, method="numerical")
         worst = max(worst, float(np.abs(analytic - numeric).max()))
     elapsed = time.perf_counter() - start

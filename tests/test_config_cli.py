@@ -415,6 +415,23 @@ def test_cli_wgen_site_with_overrides(tmp_path):
     assert abs(float(cells["constraint"]) - 1.0) < 1e-12
 
 
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path):
+    # one cached parser serves every call, so an override must not leak
+    # from one call into the next
+    cfg = write_json(
+        tmp_path / "cfg.json",
+        {"protocol": {"source": 3, "n_sites": 3, "constraint": 1.0}},
+    )
+    assert cli.build_parser() is cli.build_parser()
+    with_k, after, fresh = (tmp_path / f"{name}.csv" for name in ("k", "after", "fresh"))
+    assert run_cli("wgen", "--config", cfg, "--out", str(with_k), "--k", "3") == 0
+    assert run_cli("wgen", "--config", cfg, "--out", str(after)) == 0
+    cli.build_parser.cache_clear()
+    assert run_cli("wgen", "--config", cfg, "--out", str(fresh)) == 0
+    assert after.read_bytes() == fresh.read_bytes()
+    assert with_k.read_bytes() != after.read_bytes()  # the override took effect
+
+
 def test_cli_wgen_infeasible_leaves_no_file(tmp_path):
     cfg = effective_uniform(tmp_path, delta=0.0)  # center plan needs Delta = -1
     out = tmp_path / "plan.csv"

@@ -18,6 +18,7 @@ from ringstar.protocols import (
     equal_population_ratio,
     fidelity_curve,
     fluctuation_sweep,
+    _solve_ratio,
     generation_error,
     make_transfer_program,
     plan_w_from_center,
@@ -127,6 +128,56 @@ def test_equal_population_ratio_closed_form():
     # theta_1 = pi/2 makes the discriminant 2N - N^2 < 0 for N >= 3
     with pytest.raises(InfeasibleError):
         equal_population_ratio(math.pi / 2, 4)
+
+
+def reference_ratio(n, constraint, gamma_source, winding, branch):
+    """The coupling ratio from a scalar scan of the same geomspace grid, one
+    residual call per point, refined by brentq; None when no bracket exists."""
+    from scipy.optimize import brentq
+
+    def residual(p):
+        omega = gamma_source * math.sqrt(1.0 + (n - 1) * p)
+        b = constraint * (n - 1) / (2.0 * omega)
+        theta1 = winding * math.pi * (b / math.hypot(1.0, b) - 1.0)
+        disc = 2.0 * n * (1.0 - math.cos(theta1)) - n * n * math.sin(theta1) ** 2
+        if disc < -1e-12:
+            return math.nan
+        sign = 1.0 if branch == "plus" else -1.0
+        root = math.sqrt(max(disc, 0.0))
+        return p - (1.0 - n * math.cos(theta1) + sign * root) / (n - 1) ** 2
+
+    grid = np.geomspace(1e-6, 1e6, 2401)
+    vals = [residual(p) for p in grid]
+    for i in range(len(grid) - 1):
+        f0, f1 = vals[i], vals[i + 1]
+        if math.isnan(f0) or math.isnan(f1):
+            continue
+        if f0 == 0.0:
+            return float(grid[i])
+        if f0 * f1 < 0.0:
+            return brentq(residual, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    constraint=st.floats(min_value=-3.0, max_value=3.0).filter(lambda c: c != 0.0),
+    gamma_source=st.floats(min_value=0.2, max_value=3.0),
+    winding=st.integers(min_value=1, max_value=8),
+    branch=st.sampled_from(["plus", "minus"]),
+)
+def test_property_solve_ratio_matches_scalar_scan(n, constraint, gamma_source, winding, branch):
+    expected = reference_ratio(n, constraint, gamma_source, winding, branch)
+    if expected is None:
+        with pytest.raises(InfeasibleError):
+            _solve_ratio(n, constraint, gamma_source, winding, branch)
+        return
+    got = _solve_ratio(n, constraint, gamma_source, winding, branch)
+    # the same bracket, refined to brentq's own stopping tolerance (the two
+    # runs see residuals that differ in the last bit: numpy's hypot is not
+    # correctly rounded, math.hypot is)
+    assert abs(got - expected) <= 2.0 * (1e-15 + 8.9e-16 * abs(expected))
 
 
 def test_site_plan_transverse_three_sites():

@@ -153,9 +153,9 @@ def test_analytic_refuses_unconstrained_network():
     with pytest.raises(ConstraintError):
         phase_angles(net, 0.5)
     with pytest.raises(ConstraintError):
-        closed_form_from_site(net, 1, 0.5)
+        closed_form_from_site(net, 1, [0.5])
     with pytest.raises(ConstraintError):
-        closed_form_from_center(net, 0.5)
+        closed_form_from_center(net, [0.5])
 
 
 def test_auto_falls_back_to_numerical():
@@ -182,14 +182,14 @@ def test_analytic_and_numerical_evolution_agree():
 
 def test_closed_form_propagators_match_expm():
     net = constrained_network([1.0, 0.7, 2.2], 1.1)
-    for t in (0.3, 2.9, -1.6):
-        for site in (1, 2, 3):
-            out = closed_form_from_site(net, site, t)
-            ref = expm_evolve(net, basis_state(net, site), t)
+    times = [0.3, 2.9, -1.6]
+    grids = [closed_form_from_site(net, site, times) for site in (1, 2, 3)]
+    grids.append(closed_form_from_center(net, times))
+    for source, rows in enumerate(grids, start=1):
+        assert rows.shape == (len(times), net.dim)
+        for t, out in zip(times, rows):
+            ref = expm_evolve(net, basis_state(net, source), t)
             assert np.abs(out - ref).max() < 1e-10
-        out = closed_form_from_center(net, t)
-        ref = expm_evolve(net, basis_state(net, net.dim), t)
-        assert np.abs(out - ref).max() < 1e-10
 
 
 def test_phase_angle_sum_identity():
@@ -210,7 +210,7 @@ def test_decoupled_site_is_frozen():
     psi0 = basis_state(net, 2)
     out = evolve_subspace(net, psi0, 4.0, method="analytic")
     assert np.abs(out - psi0).max() < 1e-14
-    assert np.abs(closed_form_from_site(net, 2, 4.0) - psi0).max() < 1e-14
+    assert np.abs(closed_form_from_site(net, 2, [4.0, -1.0]) - psi0).max() < 1e-14
     # and the moving sites still agree with the dense propagator
     moving = evolve_subspace(net, basis_state(net, 1), 4.0, method="analytic")
     assert np.abs(moving - expm_evolve(net, basis_state(net, 1), 4.0)).max() < 1e-10
@@ -227,8 +227,9 @@ def test_zero_coupling_network_statics():
     net = StarNetwork(gammas=np.zeros(2), deltas=np.array([-1.0, -1.0]))
     assert net.constraint_holds
     psi0 = basis_state(net, 1)
-    assert np.array_equal(closed_form_from_site(net, 1, 2.0), psi0)
-    assert np.array_equal(closed_form_from_center(net, 2.0), basis_state(net, 3))
+    times = [2.0, -1.0, 0.0]
+    assert np.array_equal(closed_form_from_site(net, 1, times), [psi0] * 3)
+    assert np.array_equal(closed_form_from_center(net, times), [basis_state(net, 3)] * 3)
     es = analytic_eigensystem(net)
     assert np.allclose(es.all_values(), 0.0, atol=1e-15)
     for method in ("analytic", "numerical"):
@@ -251,6 +252,10 @@ def test_state_validation():
         evolve_subspace(net, basis_state(net, 1), 1.0, method="magic")
     with pytest.raises(ValidationError):
         propagate(net, basis_state(net, 1), [[0.0, 1.0]])  # times must be 1-d
+    with pytest.raises(ValidationError):
+        closed_form_from_site(net, 1, [[0.0, 1.0]])
+    with pytest.raises(ValidationError):
+        closed_form_from_center(net, [[0.0, 1.0]])
     center = basis_state(net, 4)
     assert center[3] == 1.0 and np.abs(center[:3]).max() == 0.0
 
@@ -258,9 +263,9 @@ def test_state_validation():
 def test_closed_form_site_bounds():
     net = uniform_star(3, 1.0)
     with pytest.raises(ValidationError):
-        closed_form_from_site(net, 4, 1.0)  # center is not a valid source here
+        closed_form_from_site(net, 4, [1.0])  # center is not a valid source here
     with pytest.raises(ValidationError):
-        closed_form_from_site(net, 0, 1.0)
+        closed_form_from_site(net, 0, [1.0])
 
 
 @st.composite
@@ -275,29 +280,48 @@ def constrained_cases(draw):
         )
     )
     c = draw(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
-    t = draw(st.floats(min_value=-8.0, max_value=8.0, allow_nan=False))
+    times = draw(  # unsorted, unevenly spaced, negative times allowed
+        st.lists(
+            st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    site = draw(st.integers(min_value=1, max_value=n))
     g = np.array(mags) * np.array(signs)
-    return constrained_network(g, c), t
+    return constrained_network(g, c), np.array(times), site
 
 
 @settings(max_examples=40, deadline=None)
 @given(constrained_cases())
+@example(  # a decoupled source site (gamma = 0 forces C = 0)
+    (
+        StarNetwork(gammas=np.array([1.0, 0.0, 2.0]), deltas=np.array([-1.0, 0.3, -1.0])),
+        np.array([4.0, -2.5, 0.0]),
+        2,
+    )
+)
+@example(  # Omega = 0: every state is stationary
+    (StarNetwork(gammas=np.zeros(3), deltas=np.full(3, -1.0)), np.array([1.5, -3.0]), 1)
+)
 def test_property_closed_forms_track_dense_propagator(case):
-    net, t = case
-    for source in (1, net.dim):
+    net, times, site = case
+    for source in (site, net.dim):
         if source == net.dim:
-            out = closed_form_from_center(net, t)
+            rows = closed_form_from_center(net, times)
         else:
-            out = closed_form_from_site(net, source, t)
-        ref = expm_evolve(net, basis_state(net, source), t)
-        assert np.abs(out - ref).max() < 1e-9
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
+            rows = closed_form_from_site(net, source, times)
+        assert rows.shape == (times.size, net.dim)
+        for t, out in zip(times, rows):
+            ref = expm_evolve(net, basis_state(net, source), t)
+            assert np.abs(out - ref).max() < 1e-9
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
 @settings(max_examples=40, deadline=None)
 @given(constrained_cases())
 def test_property_analytic_spectrum_matches_numeric(case):
-    net, _ = case
+    net = case[0]
     h = build_effective_hamiltonian(net)
     es = analytic_eigensystem(net)
     scale = max(1.0, float(np.abs(h).max()))

@@ -196,30 +196,8 @@ def cmd_transfer(cfg: dict, args) -> list[tuple[str, list, list]]:
 
 def cmd_sweep_aniso(cfg: dict, args) -> list[tuple[str, list, list]]:
     params = cfg_mod.sweep_section(cfg)
-    if params["kind"] == "ad":
-        rows = sweep_anisotropy_ad(
-            params["a_values"],
-            params["d_values"],
-            params["linkers"],
-            x=params["x"],
-            exchange=params["exchange"],
-            symmetric_substitute_bonds=params["symmetric_ni_bonds"],
-            scale=cfg_mod._number(cfg, "coupling_scale", "top level", default=1.0),
-            dim_cap=cfg_mod.dim_cap_from_config(cfg),
-        )
-    else:
-        rows = sweep_anisotropy_b(
-            params["b_values"],
-            x=params["x"],
-            exchange=params["exchange"],
-            a=params["a"],
-            d=params["d"],
-            reference=params["reference"],
-            tuned_sites=params["tuned_sites"],
-            symmetric_substitute_bonds=params["symmetric_ni_bonds"],
-            scale=cfg_mod._number(cfg, "coupling_scale", "top level", default=1.0),
-            dim_cap=cfg_mod.dim_cap_from_config(cfg),
-        )
+    sweep = sweep_anisotropy_ad if params.pop("kind") == "ad" else sweep_anisotropy_b
+    rows = sweep(**params)
     table = [
         (row.a, row.d, row.b, row.gamma, row.delta, row.gap, row.status)
         for row in rows

@@ -383,7 +383,8 @@ def transfer_section(cfg: dict) -> dict:
 
 
 def sweep_section(cfg: dict) -> dict:
-    """Validated anisotropy-sweep parameters, discriminated by 'kind'."""
+    """Validated anisotropy-sweep parameters, discriminated by 'kind': the
+    keyword arguments of `sweep_anisotropy_<kind>` plus 'kind' itself."""
     sweep = _section(cfg, "sweep")
     kind = _string(sweep, "kind", "sweep")
     shared = {"kind", "x", "exchange", "symmetric_ni_bonds"}
@@ -401,18 +402,15 @@ def sweep_section(cfg: dict) -> dict:
         ]
         if not linkers:
             raise ConfigError("ad sweep needs at least one linker")
-        return {
+        params = {
             "kind": "ad",
             "a_values": parse_grid(sweep["a_values"], "sweep.a_values"),
             "d_values": parse_grid(sweep["d_values"], "sweep.d_values"),
             "linkers": linkers,
             "x": x,
             "exchange": _number(sweep, "exchange", "sweep", default=17.0),
-            "symmetric_ni_bonds": _boolean(
-                sweep, "symmetric_ni_bonds", "sweep", default=False
-            ),
         }
-    if kind == "b":
+    elif kind == "b":
         _check_keys(
             sweep,
             shared | {"b_values", "a", "d", "reference", "tuned_sites"},
@@ -441,7 +439,7 @@ def sweep_section(cfg: dict) -> dict:
             tuned = (pair[0], pair[1])
         else:
             tuned = (n_ring, n_ring)
-        return {
+        params = {
             "kind": "b",
             "b_values": parse_grid(sweep["b_values"], "sweep.b_values"),
             "x": x,
@@ -450,8 +448,12 @@ def sweep_section(cfg: dict) -> dict:
             "d": _number(sweep, "d", "sweep", default=0.3),
             "reference": reference,
             "tuned_sites": tuned,
-            "symmetric_ni_bonds": _boolean(
-                sweep, "symmetric_ni_bonds", "sweep", default=False
-            ),
         }
-    raise ConfigError(f"sweep.kind must be 'ad' or 'b', got {kind!r}")
+    else:
+        raise ConfigError(f"sweep.kind must be 'ad' or 'b', got {kind!r}")
+    params["symmetric_substitute_bonds"] = _boolean(
+        sweep, "symmetric_ni_bonds", "sweep", default=False
+    )
+    params["scale"] = _number(cfg, "coupling_scale", "top level", default=1.0)
+    params["dim_cap"] = dim_cap_from_config(cfg)
+    return params

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import AnisotropyDivergenceError, ValidationError
+from .errors import AnisotropyDivergenceError, GroundDoubletError, ValidationError
 from .rings import (
     DEFAULT_DIM_CAP,
     RingSpec,
@@ -167,8 +167,6 @@ def sweep_anisotropy_ad(
     Both rings of the pair share the same structure, so each grid point costs
     one diagonalization.
     """
-    from .errors import GroundDoubletError
-
     rows = []
     for a in a_values:
         for d in d_values:
@@ -201,21 +199,21 @@ def sweep_anisotropy_ad(
     return rows
 
 
-def b_sweep_evaluator(
-    x: int = 3,
-    exchange: float = 17.0,
-    a: float = 0.9,
-    d: float = 0.3,
-    reference: Linker = Linker(1, 2, 1.0),
-    tuned_sites: tuple[int, int] = (4, 4),
-    symmetric_substitute_bonds: bool = False,
-    scale: float = 1.0,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> Callable[[float], EffectivePair]:
-    """Closure evaluating (gamma, Delta) as a function of the linker ratio b.
+def _b_path(
+    x: int,
+    exchange: float,
+    a: float,
+    d: float,
+    reference: Linker,
+    tuned_sites: tuple[int, int] | None,
+    symmetric_substitute_bonds: bool,
+    dim_cap: int,
+) -> tuple:
+    """Encode the ring shared by both sides of a b sweep; return it with the
+    link rule b -> [reference, tuned linker of strength b * reference].
 
-    b multiplies the reference strength on the tuned linker sites, so
-    b = J_tuned / J_reference.  The underlying ring pair is diagonalized once.
+    The tuned linker joins tuned_sites, by default the substituted site x + 1
+    of both rings.
     """
     spec = RingSpec.cr_ni(
         x,
@@ -224,14 +222,38 @@ def b_sweep_evaluator(
         crystal_field=d,
         symmetric_substitute_bonds=symmetric_substitute_bonds,
     )
-    _, elems = ring_qubit_encoding(spec, dim_cap=dim_cap)
+    enc, elems = ring_qubit_encoding(spec, dim_cap=dim_cap)
+    m, n = (x + 1, x + 1) if tuned_sites is None else tuned_sites
+
+    def links(b: float) -> list[Linker]:
+        return [reference, Linker(m, n, float(b) * reference.strength)]
+
+    return enc, elems, links
+
+
+def b_sweep_evaluator(
+    x: int = 3,
+    exchange: float = 17.0,
+    a: float = 0.9,
+    d: float = 0.3,
+    reference: Linker = Linker(1, 2, 1.0),
+    tuned_sites: tuple[int, int] | None = None,
+    symmetric_substitute_bonds: bool = False,
+    scale: float = 1.0,
+    dim_cap: int = DEFAULT_DIM_CAP,
+) -> Callable[[float], EffectivePair]:
+    """Closure evaluating (gamma, Delta) as a function of the linker ratio b.
+
+    b multiplies the reference strength on the tuned linker sites (default:
+    the substituted site x + 1 of both rings), so b = J_tuned / J_reference.
+    The underlying ring pair is diagonalized once.
+    """
+    _, elems, links = _b_path(
+        x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds, dim_cap
+    )
 
     def evaluate(b: float) -> EffectivePair:
-        links = [
-            reference,
-            Linker(tuned_sites[0], tuned_sites[1], float(b) * reference.strength),
-        ]
-        return effective_coupling(elems, elems, links, scale=scale)
+        return effective_coupling(elems, elems, links(b), scale=scale)
 
     return evaluate
 
@@ -243,23 +265,16 @@ def sweep_anisotropy_b(
     a: float = 0.9,
     d: float = 0.3,
     reference: Linker = Linker(1, 2, 1.0),
-    tuned_sites: tuple[int, int] = (4, 4),
+    tuned_sites: tuple[int, int] | None = None,
     symmetric_substitute_bonds: bool = False,
     scale: float = 1.0,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> list[SweepRow]:
     """Effective (gamma, Delta) against the two-linker strength ratio b."""
-    from .errors import GroundDoubletError
-
-    spec = RingSpec.cr_ni(
-        x,
-        exchange=exchange,
-        ratio=a,
-        crystal_field=d,
-        symmetric_substitute_bonds=symmetric_substitute_bonds,
-    )
     try:
-        enc, elems = ring_qubit_encoding(spec, dim_cap=dim_cap)
+        enc, elems, links = _b_path(
+            x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds, dim_cap
+        )
     except GroundDoubletError:
         return [
             SweepRow(float(a), float(d), float(b), None, None, None, "no-doublet")
@@ -267,12 +282,8 @@ def sweep_anisotropy_b(
         ]
     rows = []
     for b in b_values:
-        links = [
-            reference,
-            Linker(tuned_sites[0], tuned_sites[1], float(b) * reference.strength),
-        ]
         try:
-            pair = effective_coupling(elems, elems, links, scale=scale)
+            pair = effective_coupling(elems, elems, links(b), scale=scale)
         except AnisotropyDivergenceError:
             rows.append(
                 SweepRow(float(a), float(d), float(b), None, None, enc.gap, "divergent")
@@ -292,8 +303,8 @@ class DeltaTransition:
 
     kind "zero" means Delta actually attains the level (gamma keeps its sign);
     kind "pole" means the transverse sum changes sign, so Delta blows up and
-    reappears on the other side of every finite level.  b is refined by
-    bisection to the zero of Delta - level or of gamma respectively.
+    reappears on the other side of every finite level.  b is the zero of
+    (Delta - level) * gamma or of gamma respectively.
     """
 
     b: float
@@ -308,47 +319,44 @@ def find_delta_transitions(
     level: float = 0.0,
     points: int = 501,
 ) -> list[DeltaTransition]:
-    """Locate and classify every crossing of Delta(b) through `level`."""
-    from scipy.optimize import brentq
+    """Locate and classify every crossing of Delta(b) through `level`.
 
+    `evaluate` is called once per scan point.  Each crossing is placed where
+    the straight line through its cell's two samples vanishes: of gamma for a
+    pole, of (1 - level) * gamma - (1 - Delta) * gamma for a zero.  Both are
+    affine in b when b scales one linker of a fixed set, as in
+    `b_sweep_evaluator`, so the crossing is exact to rounding; for any other
+    evaluator it is the linear interpolant's zero.
+    """
     if not b_stop > b_start:
         raise ValidationError("need b_stop > b_start")
     if points < 3:
         raise ValidationError("need at least 3 scan points")
     grid = np.linspace(b_start, b_stop, points)
     gammas = np.empty(points)
-    offsets = np.empty(points)
+    deltas = np.empty(points)
     for j, b in enumerate(grid):
         try:
             pair = evaluate(float(b))
         except AnisotropyDivergenceError:
-            # sample landed on the pole itself; nudge within the cell
+            # sample landed on the pole itself; nudge within the cell and keep
+            # the b actually used, which the crossing's line goes through
             width = (b_stop - b_start) / (points - 1)
-            pair = evaluate(float(b) + 1e-9 * width)
+            grid[j] = float(b) + 1e-9 * width
+            pair = evaluate(float(grid[j]))
         gammas[j] = pair.gamma
-        offsets[j] = pair.delta - level
+        deltas[j] = pair.delta
+    offsets = deltas - level
+    zero_lines = (1.0 - level) * gammas - (1.0 - deltas) * gammas
 
     transitions = []
-    for j in range(points - 1):
-        if offsets[j] * offsets[j + 1] >= 0.0:
-            continue
-        lo, hi = float(grid[j]), float(grid[j + 1])
-        if gammas[j] * gammas[j + 1] < 0.0:
-
-            def gamma_of(b: float) -> float:
-                try:
-                    return evaluate(b).gamma
-                except AnisotropyDivergenceError:
-                    return 0.0  # below the divergence threshold IS the root
-
-            b_at = brentq(gamma_of, lo, hi, xtol=1e-14, rtol=8.9e-16)
-            kind = "pole"
-        else:
-            b_at = brentq(
-                lambda b: evaluate(b).delta - level, lo, hi, xtol=1e-14, rtol=8.9e-16
-            )
-            kind = "zero"
+    for j in np.flatnonzero(offsets[:-1] * offsets[1:] < 0.0):
+        pole = gammas[j] * gammas[j + 1] < 0.0
+        f0, f1 = (gammas if pole else zero_lines)[j : j + 2]
+        b_at = grid[j] - f0 * (grid[j + 1] - grid[j]) / (f1 - f0)
         transitions.append(
-            DeltaTransition(b=float(b_at), kind=kind, rising=offsets[j] < 0.0)
+            DeltaTransition(
+                b=float(b_at), kind="pole" if pole else "zero", rising=offsets[j] < 0.0
+            )
         )
     return transitions

@@ -52,6 +52,8 @@ FLUCTUATION_WINDING = 2
 FLUCTUATION_BRANCH = "minus"
 
 MAX_WINDING_SEARCH = 64
+# coarse time-grid points that bracket the first transfer peak before refinement
+TRANSFER_SCAN_POINTS = 4097
 
 
 def w_state(n_sites: int) -> np.ndarray:
@@ -353,7 +355,6 @@ def make_transfer_program(
     amplitudes: Sequence[float],
     gamma_scale: float = 1.0,
     constraint: float = 0.0,
-    coarse_points: int = 4097,
 ) -> TransferProgram:
     """Build the mirrored-coupling network for a block of L amplitudes.
 
@@ -392,7 +393,7 @@ def make_transfer_program(
         return float(_fidelity(target, evolve_subspace(network, initial, t)))
 
     horizon = 8.0 * math.pi / network.omega
-    times = np.linspace(0.0, horizon, coarse_points)
+    times = np.linspace(0.0, horizon, TRANSFER_SCAN_POINTS)
     coarse = _fidelity(target, propagate(network, initial, times))
     best = float(coarse.max())
     first = int(np.nonzero(coarse >= best - 1e-9)[0][0])

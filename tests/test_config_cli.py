@@ -26,6 +26,7 @@ from ringstar.config import (
     winding_from,
     z_convention_from_config,
 )
+from ringstar.coupling import sweep_anisotropy_b
 from ringstar.errors import ConfigError, ValidationError
 from ringstar.output import format_cell, render_csv, sibling_path
 from ringstar.star import basis_state, propagate, uniform_star
@@ -493,6 +494,23 @@ def test_cli_sweep_aniso(tmp_path):
     assert all(line.endswith("ok") for line in lines[1:])
 
 
+@pytest.mark.parametrize("x", [1, 5])
+def test_b_sweep_default_tuned_sites_match_the_cli(tmp_path, x):
+    # both default to the substituted site x + 1 of each ring
+    b_values = [0.0, 0.5, 2.0]
+    cfg = write_json(
+        tmp_path / "cfg.json", {"sweep": {"kind": "b", "b_values": b_values, "x": x}}
+    )
+    out = tmp_path / "aniso.csv"
+    assert run_cli("sweep-aniso", "--config", cfg, "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    expected = [
+        [format_cell(v) for v in (r.a, r.d, r.b, r.gamma, r.delta, r.gap, r.status)]
+        for r in sweep_anisotropy_b(b_values, x=x)
+    ]
+    assert rows == expected
+
+
 def test_cli_sweep_aniso_reaches_the_cr7ni_ring(tmp_path):
     # x = 7 is 4^7 * 3 = 49152 product states, over the default cap
     sweep = {"kind": "b", "b_values": [0.5, 1.0, 2.0], "x": 7}
@@ -525,16 +543,24 @@ def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded(tmp_path):
         "assert main(['validate', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, f'validate loaded {loaded}'\n"
+        "from ringstar.coupling import b_sweep_evaluator, find_delta_transitions\n"
+        "assert len(find_delta_transitions(b_sweep_evaluator(), 0.0, 5.0)) == 2\n"
+        "assert 'scipy.optimize' not in sys.modules, 'Delta transitions'\n"
+        "assert main(['sweep-aniso', '--config', sys.argv[3], '--out', sys.argv[4]]) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules, 'x = 3 b sweep'\n"
     )
     src = str(Path(ringstar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "checks.csv"
+    sweep_cfg = str(CONFIGS / "ring-anisotropy-b.json")
+    sweep_out = tmp_path / "aniso.csv"
     result = subprocess.run(
-        [sys.executable, "-c", code, cfg, str(out)],
+        [sys.executable, "-c", code, cfg, str(out), sweep_cfg, str(sweep_out)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert out.read_text().count(",true") == 3
+    assert sweep_out.read_text().count(",ok") == 201
 
 
 def test_cli_validate(tmp_path):

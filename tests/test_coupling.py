@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from ringstar.coupling import (
     Linker,
@@ -141,6 +144,114 @@ def test_level_crossing_reporting_at_minus_one():
     zeros = [t for t in found if t.kind == "zero"]
     assert len(zeros) == 1
     assert abs(zeros[0].b - B_MINUS_ONE) < 1e-9
+
+
+def brentq_transitions(evaluate, b_start, b_stop, level=0.0, points=501):
+    """Reference: the same scan, each sign-change cell refined by scalar brentq.
+
+    Poles are the root of gamma and zeros the root of Delta - level, with no
+    use of the affine form.  Each cell is bracketed by the b values actually
+    sampled, so a sample nudged off the pole is not evaluated on it again.
+    """
+    grid = np.linspace(b_start, b_stop, points)
+    width = (b_stop - b_start) / (points - 1)
+    used, gammas, offsets = [], [], []
+    for b in grid:
+        b = float(b)
+        try:
+            pair = evaluate(b)
+        except AnisotropyDivergenceError:
+            b += 1e-9 * width
+            pair = evaluate(b)
+        used.append(b)
+        gammas.append(pair.gamma)
+        offsets.append(pair.delta - level)
+
+    def gamma_of(b):
+        try:
+            return evaluate(b).gamma
+        except AnisotropyDivergenceError:
+            return 0.0  # below the divergence threshold is the root
+
+    found = []
+    for j in range(points - 1):
+        if offsets[j] * offsets[j + 1] >= 0.0:
+            continue
+        lo, hi = used[j], used[j + 1]
+        if gammas[j] * gammas[j + 1] < 0.0:
+            b_at = brentq(gamma_of, lo, hi, xtol=1e-14, rtol=8.9e-16)
+            kind = "pole"
+        else:
+            b_at = brentq(
+                lambda b: evaluate(b).delta - level, lo, hi, xtol=1e-14, rtol=8.9e-16
+            )
+            kind = "zero"
+        found.append((b_at, kind, offsets[j] < 0.0))
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=st.sampled_from([1, 3]),
+    sites=st.tuples(*[st.integers(min_value=0, max_value=3)] * 4),
+    strength=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+    a=st.floats(0.5, 1.5),
+    # at d = 0 the ring is isotropic, z00 = -x10 on every site and Delta is 0
+    # for every linker set, so the sign of Delta - 0 is rounding noise
+    d=st.floats(0.05, 0.5) | st.floats(-0.5, -0.05),
+    level=st.floats(-3.0, 3.0),
+    # a pole sits at -(x10 product of the reference) / (that of the tuned
+    # linker), which lies in [-7, 4] for these rings
+    b_start=st.floats(-7.0, 0.0),
+    width=st.floats(1.0, 11.0),
+    points=st.sampled_from([11, 101, 501]),
+)
+@example(x=3, sites=(0, 1, 3, 3), strength=1.0, a=0.9, d=0.3, level=0.0,
+         b_start=0.0, width=5.0, points=501)
+# the middle of the three samples is the pole: a pole cell and a zero cell
+# each end on the nudged sample
+@example(x=3, sites=(0, 1, 3, 3), strength=1.0, a=0.9, d=0.3, level=0.5,
+         b_start=0.0, width=2 * B_POLE, points=3)
+def test_property_transitions_match_brentq_reference(
+    x, sites, strength, a, d, level, b_start, width, points
+):
+    n = x + 1
+    ev = b_sweep_evaluator(
+        x=x,
+        a=a,
+        d=d,
+        reference=Linker(1 + sites[0] % n, 1 + sites[1] % n, strength),
+        tuned_sites=(1 + sites[2] % n, 1 + sites[3] % n),
+    )
+    b_stop = b_start + width
+    try:
+        want = brentq_transitions(ev, b_start, b_stop, level=level, points=points)
+    except AnisotropyDivergenceError:
+        # a sample on the pole whose nudge, 1e-9 of a narrow cell, stays
+        # inside the divergence window: the scan raises as the reference does
+        with pytest.raises(AnisotropyDivergenceError):
+            find_delta_transitions(ev, b_start, b_stop, level=level, points=points)
+        return
+    got = find_delta_transitions(ev, b_start, b_stop, level=level, points=points)
+    assert [(t.kind, t.rising) for t in got] == [w[1:] for w in want]
+    for t, (b_ref, _, _) in zip(got, want):
+        assert abs(t.b - b_ref) <= 1e-12 * max(1.0, abs(b_ref))
+
+
+def test_scan_point_on_the_pole_is_nudged():
+    ev = b_sweep_evaluator()
+    calls = []
+
+    def evaluate(b):
+        calls.append(b)
+        return ev(b)
+
+    found = find_delta_transitions(evaluate, 0.0, 2 * B_POLE, level=0.5, points=3)
+    # the sample at B_POLE diverges and is taken again 1e-9 of a cell later;
+    # the scan makes no other call
+    assert calls == [0.0, B_POLE, B_POLE + 1e-9 * B_POLE, 2 * B_POLE]
+    assert [(t.kind, t.rising) for t in found] == [("pole", True), ("zero", False)]
+    assert abs(found[0].b - B_POLE) < 1e-9
 
 
 def test_b_sweep_rows_and_divergent_row_kept():

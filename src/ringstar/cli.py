@@ -75,11 +75,8 @@ def cmd_spectrum(cfg: dict, args) -> list[tuple[str, list, list]]:
 
 def cmd_evolve(cfg: dict, args) -> list[tuple[str, list, list]]:
     network = cfg_mod.network_from_config(cfg)
-    protocol = cfg_mod.protocol_section(cfg)
     initial = cfg_mod.initial_state_from_config(cfg, network)
-    method = cfg_mod._string(protocol, "method", "protocol", default="auto")
-    if method not in ("auto", "analytic", "numerical"):
-        raise ConfigError("protocol.method must be auto, analytic or numerical")
+    method = cfg_mod.protocol_section(cfg).get("method", "auto")
     times = cfg_mod.grid_from_config(cfg, "time")
     states = propagate(network, initial, times, method=method)
     cells = np.empty((len(times), 2 * network.dim + 1))
@@ -90,24 +87,23 @@ def cmd_evolve(cfg: dict, args) -> list[tuple[str, list, list]]:
 
 
 def cmd_wgen(cfg: dict, args) -> list[tuple[str, list, list]]:
-    protocol = cfg_mod.protocol_section(cfg) if "protocol" in cfg else {}
-    winding = cfg_mod.winding_from(protocol, args.k)
-    branch = cfg_mod.branch_from(protocol, args.branch)
+    protocol = cfg_mod.protocol_section(cfg)
+    winding = args.k if args.k is not None else protocol.get("winding")
     source = protocol.get("source", "center")
     if source == "center":
         network = cfg_mod.network_from_config(cfg)
         plan = plan_w_from_center(network, winding=0 if winding is None else winding)
-    elif isinstance(source, int) and not isinstance(source, bool):
-        n_sites = cfg_mod._integer(protocol, "n_sites", "protocol")
-        constraint = cfg_mod._number(protocol, "constraint", "protocol", default=0.0)
-        gamma_source = cfg_mod._number(
-            protocol, "gamma_source", "protocol", default=1.0
-        )
-        plan = plan_w_from_site(
-            n_sites, source, constraint, gamma_source, winding=winding, branch=branch
-        )
+    elif "n_sites" not in protocol:
+        raise ConfigError("protocol.n_sites is required for a site source")
     else:
-        raise ConfigError("protocol.source must be 'center' or a site index")
+        plan = plan_w_from_site(
+            protocol["n_sites"],
+            source,
+            protocol.get("constraint", 0.0),
+            protocol.get("gamma_source", 1.0),
+            winding=winding,
+            branch=args.branch if args.branch else protocol.get("branch", "plus"),
+        )
     network = plan.network
     header = [
         "source",
@@ -142,31 +138,18 @@ def cmd_wgen(cfg: dict, args) -> list[tuple[str, list, list]]:
 
 
 def cmd_sweep_fluct(cfg: dict, args) -> list[tuple[str, list, list]]:
-    protocol = cfg_mod.protocol_section(cfg) if "protocol" in cfg else {}
-    winding = cfg_mod.winding_from(protocol, args.k)
-    branch = cfg_mod.branch_from(protocol, args.branch, default=FLUCTUATION_BRANCH)
-    constraint = cfg_mod._number(
-        protocol, "constraint", "protocol", default=FLUCTUATION_CONSTRAINT
-    )
-    deltas = cfg_mod.grid_from_config(cfg, "delta")
+    protocol = cfg_mod.protocol_section(cfg)
     rows = fluctuation_sweep(
-        deltas,
-        constraint=constraint,
-        winding=FLUCTUATION_WINDING if winding is None else winding,
-        branch=branch,
+        cfg_mod.grid_from_config(cfg, "delta"),
+        constraint=protocol.get("constraint", FLUCTUATION_CONSTRAINT),
+        winding=args.k if args.k is not None else protocol.get("winding", FLUCTUATION_WINDING),
+        branch=args.branch if args.branch else protocol.get("branch", FLUCTUATION_BRANCH),
     )
     return [(args.out, ["delta", "E_r"], [(float(d), float(e)) for d, e in rows])]
 
 
 def cmd_transfer(cfg: dict, args) -> list[tuple[str, list, list]]:
-    params = cfg_mod.transfer_section(cfg)
-    program = make_transfer_program(
-        params["n_sites"],
-        params["block"],
-        params["amplitudes"],
-        gamma_scale=params["gamma_scale"],
-        constraint=params["constraint"],
-    )
+    program = make_transfer_program(**cfg_mod.transfer_section(cfg))
     times = cfg_mod.grid_from_config(cfg, "time")
     curve = fidelity_curve(program, times)
     curve_rows = [

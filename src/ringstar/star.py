@@ -215,7 +215,7 @@ def as_subspace_state(state, dim: int) -> np.ndarray:
     if v.ndim != 1 or v.size != dim:
         raise ValidationError(f"state must have {dim} amplitudes, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > STATE_NORM_TOL:
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:  # NaN fails too
         raise ValidationError(f"state norm {norm} is not 1 within {STATE_NORM_TOL}")
     return v
 

@@ -15,15 +15,14 @@ from hypothesis import strategies as st
 import ringstar
 from ringstar import cli
 from ringstar.config import (
-    branch_from,
     dim_cap_from_config,
     initial_state_from_config,
     load_config,
     network_from_config,
     parse_grid,
+    protocol_section,
     sweep_section,
     transfer_section,
-    winding_from,
     z_convention_from_config,
 )
 from ringstar.coupling import sweep_anisotropy_b
@@ -78,9 +77,6 @@ def test_parse_grid_forms():
         parse_grid({"start": 0.0, "stop": 1.0, "count": 3}, "g")
     with pytest.raises(ConfigError):
         parse_grid("0:1:5", "g")
-    # descending grids are fine where ordering is not required
-    down = parse_grid([1.0, 0.0], "g", increasing=False)
-    assert np.array_equal(down, [1.0, 0.0])
 
 
 def test_effective_network_from_config():
@@ -238,15 +234,18 @@ def test_scalar_config_helpers():
     assert dim_cap_from_config({"dim_cap": 64}) == 64
     with pytest.raises(ValidationError):
         dim_cap_from_config({"dim_cap": 1})
-    assert branch_from({}, None) == "plus"
-    assert branch_from({}, None, default="minus") == "minus"
-    assert branch_from({"branch": "minus"}, None) == "minus"
-    assert branch_from({"branch": "minus"}, "plus") == "plus"  # override wins
+    assert protocol_section({}) == {}
+    assert protocol_section({"protocol": {}}) == {}
+    given = {"branch": "minus", "winding": 3, "source": "center", "constraint": 1}
+    assert protocol_section({"protocol": given}) == dict(given, constraint=1.0)
     with pytest.raises(ConfigError):
-        branch_from({"branch": "left"}, None)
-    assert winding_from({}) is None
-    assert winding_from({"winding": 3}) == 3
-    assert winding_from({"winding": 3}, override=1) == 1
+        protocol_section({"protocol": {"branch": "left"}})
+    with pytest.raises(ConfigError):
+        protocol_section({"protocol": {"winding": 2.0}})
+    with pytest.raises(ConfigError):
+        protocol_section({"protocol": {"source": "corner"}})
+    with pytest.raises(ConfigError):
+        protocol_section({"protocol": "center"})
 
 
 # -- CSV serialization -------------------------------------------------------
@@ -414,6 +413,23 @@ def test_cli_wgen_site_with_overrides(tmp_path):
     assert cells["source"] == "3" and cells["winding"] == "2"
     assert float(cells["predicted_error"]) < 1e-8
     assert abs(float(cells["constraint"]) - 1.0) < 1e-12
+
+
+def test_cli_overrides_take_precedence_over_the_config(tmp_path):
+    def wgen(name, flags=(), **protocol):
+        site = {"source": 3, "n_sites": 3, "constraint": 1.0}
+        cfg = write_json(tmp_path / f"{name}.json", {"protocol": dict(site, **protocol)})
+        out = tmp_path / f"{name}.csv"
+        assert run_cli("wgen", "--config", cfg, "--out", str(out), *flags) == 0
+        return out.read_bytes(), (tmp_path / f"{name}-network.csv").read_bytes()
+
+    k3 = wgen("k3", winding=3)
+    assert wgen("k", ["--k", "2"], winding=3) == wgen("k2", winding=2) != k3
+    plus = wgen("plus", winding=2, branch="plus")
+    minus = wgen("minus", winding=2, branch="minus")
+    assert wgen("branch", ["--branch", "minus"], winding=2, branch="plus") == minus != plus
+    both = wgen("both", ["--k", "2", "--branch", "minus"], winding=3, branch="plus")
+    assert both == minus
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path):
@@ -621,6 +637,72 @@ def test_cli_validation_error_exit(tmp_path):
         grids={"time": [1.0, 0.5]},
     )
     assert run_cli("evolve", "--config", cfg, "--out", str(out)) == 3
+
+
+NAN_REFERENCE = {"ring_site": 1, "central_site": 2, "strength": math.nan}
+NON_FINITE = {
+    "sweep-aniso": {"sweep": {"kind": "b", "b_values": [0.5, 1.0], "x": 1,
+                              "reference": NAN_REFERENCE}},
+    "evolve": {"mode": "effective", "effective": {"gammas": [1.0] * 2, "deltas": [-1.0] * 2},
+               "protocol": {"initial": [math.nan, 0.0, 0.0]}, "grids": {"time": [0.0, 1.0]}},
+    "wgen": {"protocol": {"source": 2, "n_sites": 3, "constraint": math.nan}},
+    "sweep-fluct": {"protocol": {"constraint": math.inf}, "grids": {"delta": [0.0, 0.1]}},
+}
+
+
+@pytest.mark.parametrize("command, payload", NON_FINITE.items(), ids=NON_FINITE)
+def test_cli_non_finite_numbers_exit_3_and_write_nothing(tmp_path, command, payload):
+    cfg = write_json(tmp_path / "cfg.json", payload)  # json writes NaN and Infinity
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "x.csv")) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_validate_rejects_unknown_protocol_keys(tmp_path):
+    cfg = effective_uniform(
+        tmp_path, delta=-1.0, protocol={"initial": 1, "bogus": 1}, grids={"time": [0.0, 1.0]}
+    )
+    assert run_cli("validate", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+EFFECTIVE = {"mode": "effective", "effective": {"gammas": [1.0] * 3, "deltas": [-1.0] * 3}}
+EVOLVE = dict(EFFECTIVE, protocol={"initial": 1}, grids={"time": [0.0, 1.0]})
+SITE_W = {"source": 3, "n_sites": 3, "constraint": 1.0}
+TRANSFER = {"n_sites": 5, "block": 2, "alpha": 0.5}
+B_SWEEP = {"kind": "b", "b_values": [1.0], "x": 1}
+
+# one row per class of malformed config: command, config, exit code
+MALFORMED = {
+    "wrong-type": ("spectrum", dict(EFFECTIVE, effective={"gammas": 1.0, "deltas": [0.0]}), 2),
+    "bool-as-number": ("spectrum", micro_config(coupling_scale=True), 2),
+    "bool-in-number-list": (
+        "spectrum", dict(EFFECTIVE, effective={"gammas": [True], "deltas": [0.0]}), 2),
+    "missing-key": ("spectrum", dict(EFFECTIVE, effective={"gammas": [1.0]}), 2),
+    "missing-section": ("evolve", dict(EFFECTIVE, protocol={"initial": 1}), 2),
+    "unknown-in-effective": (
+        "spectrum", dict(EFFECTIVE, effective=dict(EFFECTIVE["effective"], hub=1)), 2),
+    "unknown-in-microscopic": (
+        "spectrum", micro_config(microscopic=dict(micro_config()["microscopic"], hub=1)), 2),
+    "unknown-in-protocol": ("wgen", dict(EFFECTIVE, protocol={"source": "center", "k": 1}), 2),
+    "unknown-in-protocol.transfer": (
+        "transfer", dict(EVOLVE, protocol={"transfer": dict(TRANSFER, blocks=2)}), 2),
+    "unknown-in-grids": ("evolve", dict(EVOLVE, grids={"time": [0.0], "space": [0.0]}), 2),
+    "unknown-in-sweep": ("sweep-aniso", {"sweep": dict(B_SWEEP, c=1)}, 2),
+    "choice-mode": ("spectrum", dict(EFFECTIVE, mode="effectve"), 2),
+    "choice-z_convention": ("validate", dict(EVOLVE, z_convention="spin"), 2),
+    "choice-protocol.branch": ("wgen", {"protocol": dict(SITE_W, branch="left")}, 2),
+    "choice-protocol.method": (
+        "evolve", dict(EVOLVE, protocol={"initial": 1, "method": "exact"}), 2),
+    "choice-sweep.kind": ("sweep-aniso", {"sweep": dict(B_SWEEP, kind="c")}, 2),
+    "non-finite": ("spectrum", micro_config(coupling_scale=math.inf), 3),
+}
+
+
+@pytest.mark.parametrize("command, payload, code", MALFORMED.values(), ids=MALFORMED)
+def test_cli_malformed_config_exit_codes(tmp_path, command, payload, code):
+    cfg = write_json(tmp_path / "cfg.json", payload)
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "x.csv")) == code
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_cli_dimension_cap_exit(tmp_path):

@@ -245,6 +245,10 @@ def test_state_validation():
     with pytest.raises(ValidationError):
         as_subspace_state(np.ones(4), net.dim)  # norm 2
     with pytest.raises(ValidationError):
+        as_subspace_state([np.nan, 0.0, 0.0, 0.0], net.dim)
+    with pytest.raises(ValidationError):
+        propagate(uniform_star(2, 1.0), [np.nan, 0.0, 0.0], [0.0, 1.0])
+    with pytest.raises(ValidationError):
         basis_state(net, 0)
     with pytest.raises(ValidationError):
         basis_state(net, 5)

@@ -192,8 +192,10 @@ def cmd_validate(cfg: dict, args) -> list[tuple[str, list, list]]:
     network = cfg_mod.network_from_config(cfg)
     initial = cfg_mod.initial_state_from_config(cfg, network)
     times = cfg_mod.grid_from_config(cfg, "time")
-    convention = args.z_convention or cfg_mod.z_convention_from_config(cfg)
-    report = cross_validate(network, initial, times, z_convention=convention)
+    convention = cfg_mod.z_convention_from_config(cfg)  # checked even when overridden
+    report = cross_validate(
+        network, initial, times, z_convention=args.z_convention or convention
+    )
     rows = [
         (name, float(dev), None if thr is None else float(thr), passed)
         for name, dev, thr, passed in report.rows()

@@ -1,13 +1,14 @@
 """JSON run-configuration parsing and validation.
 
 One config file drives every batch command, and this module is its only
-reader: each section is read by one function, which type-checks every key it
-allows, whether or not the command uses it.  Structural problems (unknown
-keys, wrong types, a bool where a number belongs, missing keys or sections,
-a string outside its choices) raise ConfigError; values that parse but fall
-outside their documented ranges (non-finite numbers, non-increasing grids,
-site indices out of bounds) raise ValidationError.  The split matches the
-process exit codes 2 and 3.
+reader: `load_config` rejects unknown keys in every section, whether or not
+the command reads it, and each section is read by one function, which
+type-checks every key it allows, whether or not the command uses it.
+Structural problems (unknown keys, wrong types, a bool where a number
+belongs, missing keys or sections, a string outside its choices) raise
+ConfigError; values that parse but fall outside their documented ranges
+(non-finite numbers, non-increasing grids, site indices out of bounds) raise
+ValidationError.  The split matches the process exit codes 2 and 3.
 """
 from __future__ import annotations
 
@@ -50,6 +51,9 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(raw, TOP_LEVEL_KEYS, "")
+    for key, keys in SECTION_KEYS.items():  # every section, read or not
+        if key in raw:
+            _section(raw, key, keys)
     return raw
 
 
@@ -136,7 +140,7 @@ def parse_grid(value: Any, where: str) -> np.ndarray:
 
 
 def grid_from_config(cfg: dict, name: str) -> np.ndarray:
-    return _get(_section(cfg, "grids", {"time", "delta"}), name, "grids", parse_grid)
+    return _get(_section(cfg, "grids", SECTION_KEYS["grids"]), name, "grids", parse_grid)
 
 
 def dim_cap_from_config(cfg: dict) -> int:
@@ -192,13 +196,13 @@ def _linker_from_config(obj: Any, where: str, n_ring: int, n_central: int) -> Li
 
 def network_from_config(cfg: dict) -> StarNetwork:
     if _choice(cfg, "mode", "", ("effective", "microscopic")) == "effective":
-        eff = _section(cfg, "effective", {"gammas", "deltas"})
+        eff = _section(cfg, "effective", SECTION_KEYS["effective"])
         gammas = _get(eff, "gammas", "effective", _number_list)
         deltas = _get(eff, "deltas", "effective", _number_list)
         if len(gammas) != len(deltas):
             raise ValidationError("gammas and deltas must have equal length")
         return StarNetwork(gammas=np.array(gammas), deltas=np.array(deltas))
-    micro = _section(cfg, "microscopic", {"central", "rings", "linkers"})
+    micro = _section(cfg, "microscopic", SECTION_KEYS["microscopic"])
     central = _get(micro, "central", "microscopic", ring_spec_from_config)
     rings = [
         ring_spec_from_config(spec, f"microscopic.rings[{i}]")
@@ -325,9 +329,21 @@ def transfer_section(cfg: dict) -> dict:
     return params
 
 
+_SWEEP_SHARED = {"kind", "x", "exchange", "symmetric_ni_bonds"}
 _SWEEP_KEYS = {
     "ad": {"a_values", "d_values", "linkers"},
     "b": {"b_values", "a", "d", "reference", "tuned_sites"},
+}
+
+# the keys each section may hold under any command: one file can feed several
+# commands (configs/center-w.json gives wgen protocol.source and evolve
+# protocol.initial), so `load_config` checks every section against the union
+SECTION_KEYS = {
+    "effective": {"gammas", "deltas"},
+    "microscopic": {"central", "rings", "linkers"},
+    "protocol": set(PROTOCOL_KEYS),
+    "grids": {"time", "delta"},
+    "sweep": _SWEEP_SHARED.union(*_SWEEP_KEYS.values()),
 }
 
 
@@ -335,8 +351,7 @@ def sweep_section(cfg: dict) -> dict:
     """Validated anisotropy-sweep parameters, discriminated by 'kind': the
     keyword arguments of `sweep_anisotropy_<kind>` plus 'kind' itself."""
     kind = _choice(_get(cfg, "sweep", "", dict), "kind", "sweep", tuple(_SWEEP_KEYS))
-    shared = {"kind", "x", "exchange", "symmetric_ni_bonds"}
-    sweep = _section(cfg, "sweep", shared | _SWEEP_KEYS[kind])
+    sweep = _section(cfg, "sweep", _SWEEP_SHARED | _SWEEP_KEYS[kind])
     x = _get(sweep, "x", "sweep", int, 3)
     n_ring = x + 1
     params = {"kind": kind, "x": x, "exchange": _get(sweep, "exchange", "sweep", float, 17.0)}

@@ -20,8 +20,10 @@ protection.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +32,9 @@ from .linalg import HERMITICITY_RTOL, hermitian_eigendecompose, max_entry_norm
 
 # Largest full product dimension of a ring (a config's `dim_cap`; larger
 # rings exit with code 5).  The sector route holds O(L * dim) numbers: the
-# per-site m table, blocks with at most 2L + 1 entries per row, and the two
-# doublet kets.  x = 5 (dim 3072) peaks 6 MB above the imports, x = 7 40 MB.
+# cached sector layout, blocks with at most 2L + 1 entries per row, and the
+# two doublet kets.  x = 5 (dim 3072) peaks 6 MB above the imports, x = 7
+# 40 MB, the layout included.
 DEFAULT_DIM_CAP = 4096
 
 DENSE_SECTOR_MAX = 200  # larger sectors are diagonalised by sparse Lanczos
@@ -153,72 +156,117 @@ def _on_site(
     return moved.reshape(states.shape)
 
 
-def _product_basis(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
-    """2 tau_z of every site in every product state, shape (dim, L), and the
-    index stride of each site.  Indices are mixed-radix numbers with site 1
-    most significant (the axis order of `_on_site`); level i has m = s - i."""
-    dims = np.array(spec.site_dims)
+class _SectorLayout(NamedTuple):
+    """The part of a ring's sector build that depends only on its site spins.
+
+    m[i, k] is tau_z of site k in product state i; casimir[k] is s_k(s_k+1);
+    roots[k] holds sqrt((s(s+1) - m_k(m_k+1)) (s(s+1) - m_q(m_q-1))) for every
+    state that bond k (sites k, q) can hop, the ladder factor of its
+    S+_k S-_q entry.  Each sector is (2M, idx, take, (row, col)): idx the
+    ascending product-basis indices of its states, take the positions of its
+    entries in build_ring_hamiltonian's concatenated [diagonal, hops of bond
+    1, their mirrors, ...] values, and (row, col) their places in the block.
+    """
+
+    m: np.ndarray
+    casimir: np.ndarray
+    roots: tuple[np.ndarray, ...]
+    sectors: tuple[tuple[int, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]], ...]
+
+
+# A layout holds the m table, the ladder roots and three indices per H entry:
+# 16.8 MB for x = 7 (dim 49152), 35 kB for x = 3.
+@functools.lru_cache(maxsize=8)
+def _sector_layout(sites: tuple[float, ...]) -> _SectorLayout:
+    """Index tables of the total-S_z sectors for one tuple of site spins,
+    read-only because callers receive idx inside the sector blocks.  Product
+    indices are mixed-radix numbers with site 1 most significant (the axis
+    order of `_on_site`); level i of a site has m = s - i."""
+    dims = np.array([int(round(2 * s)) + 1 for s in sites])
+    dim = int(np.prod(dims))
     strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
-    levels = (np.arange(spec.dim)[:, None] // strides) % dims
-    return np.round(2 * np.array(spec.sites)).astype(int) - 2 * levels, strides
+    levels = (np.arange(dim)[:, None] // strides) % dims
+    two_m = np.round(2 * np.array(sites)).astype(int) - 2 * levels
+    m = two_m / 2.0
+    casimir = np.array([s * (s + 1) for s in sites])
+    states = np.arange(dim)
+    rows, cols, roots = [states], [states], []
+    bonds = range(len(sites)) if len(sites) > 1 else ()  # one site: no hops
+    for k in bonds:
+        q = (k + 1) % len(sites)
+        # S+_k raises m_k (its level index falls by one), S-_q lowers m_q
+        raise_k = casimir[k] - m[:, k] * (m[:, k] + 1)
+        lower_q = casimir[q] - m[:, q] * (m[:, q] - 1)
+        src = np.flatnonzero((raise_k > 0) & (lower_q > 0))
+        dst = src - strides[k] + strides[q]
+        roots.append(np.sqrt(raise_k[src] * lower_q[src]))
+        rows += [src, dst]
+        cols += [dst, src]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    keys, sector = np.unique(two_m.sum(axis=1), return_inverse=True)
+    entry_sector = sector[rows]  # an entry never leaves its sector
+    position = np.empty(dim, dtype=np.intp)
+    sectors = []
+    for i, key in enumerate(keys):
+        idx = np.flatnonzero(sector == i)
+        position[idx] = np.arange(idx.size)
+        take = np.flatnonzero(entry_sector == i)
+        sectors.append((int(key), idx, take, (position[rows[take]], position[cols[take]])))
+    for array in (m, casimir, *roots):
+        array.setflags(write=False)
+    for _, idx, take, (row, col) in sectors:
+        for array in (idx, take, row, col):
+            array.setflags(write=False)
+    return _SectorLayout(m, casimir, tuple(roots), tuple(sectors))
 
 
 def build_ring_hamiltonian(spec: RingSpec, dim_cap: int = DEFAULT_DIM_CAP) -> dict:
     """Real Hamiltonian of one ring, one block per total-S_z sector.
 
     Returns {2M: (indices, block)}: the ascending product-basis indices of
-    the sector's states and H restricted to them, a dense array up to
-    DENSE_SECTOR_MAX states and a scipy.sparse CSR array above.  Bond k adds
-    J_k m_k m_{k+1} to the diagonal and J_k/2 (S+_k S-_{k+1} + h.c.) off it.
+    the sector's states (read-only) and H restricted to them, a dense array
+    up to DENSE_SECTOR_MAX states and a scipy.sparse CSR array above.  Bond k
+    adds J_k m_k m_{k+1} to the diagonal and J_k/2 (S+_k S-_{k+1} + h.c.) off
+    it; the index tables come from `_sector_layout`, built once per spin tuple.
     """
     if spec.dim > dim_cap:
         raise DimensionCapError(
             f"ring dimension {spec.dim} exceeds the cap {dim_cap}"
         )
-    two_m, strides = _product_basis(spec)
-    m = two_m / 2.0
-    casimir = np.array([s * (s + 1) for s in spec.sites])
+    layout = _sector_layout(spec.sites)
+    m, casimir = layout.m, layout.casimir
     diag = (m**2 - casimir / 3.0) @ np.array(spec.crystal_fields)
-    states = np.arange(spec.dim)
-    rows, cols, vals = [states], [states], [diag]
-    for k, j in enumerate(spec.bond_couplings):
-        q = (k + 1) % spec.n_sites
-        if q == k:  # a one-site ring: tau . tau = s(s+1)
-            diag += j * casimir[k]
-            continue
-        diag += j * m[:, k] * m[:, q]
-        # S+_k raises m_k (its level index falls by one), S-_q lowers m_q
-        raise_k = casimir[k] - m[:, k] * (m[:, k] + 1)
-        lower_q = casimir[q] - m[:, q] * (m[:, q] - 1)
-        src = np.flatnonzero((raise_k > 0) & (lower_q > 0))
-        dst = src - strides[k] + strides[q]
-        amp = (j / 2) * np.sqrt(raise_k[src] * lower_q[src])
-        rows += [src, dst]
-        cols += [dst, src]
+    vals = [diag]
+    if spec.n_sites == 1:  # a one-site ring: tau . tau = s(s+1)
+        diag += spec.bond_couplings[0] * casimir[0]
+    for k, (j, root) in enumerate(zip(spec.bond_couplings, layout.roots)):
+        diag += j * m[:, k] * m[:, (k + 1) % spec.n_sites]
+        amp = (j / 2) * root
         vals += [amp, amp]
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    keys, sector = np.unique(two_m.sum(axis=1), return_inverse=True)
-    entry_sector = sector[rows]
-    position = np.empty(spec.dim, dtype=np.intp)
+    vals = np.concatenate(vals)
     blocks = {}
-    for i, key in enumerate(keys):
-        idx = np.flatnonzero(sector == i)
-        position[idx] = np.arange(idx.size)
-        sel = entry_sector == i  # an entry never leaves its sector
-        entries = (vals[sel], (position[rows[sel]], position[cols[sel]]))
+    for key, idx, take, positions in layout.sectors:
         if idx.size <= DENSE_SECTOR_MAX:
             block = np.zeros((idx.size, idx.size))
-            np.add.at(block, entries[1], entries[0])
+            np.add.at(block, positions, vals[take])
         else:
             from scipy import sparse
 
-            block = sparse.csr_array(entries, shape=(idx.size, idx.size))
-        blocks[int(key)] = (idx, block)
+            block = sparse.csr_array((vals[take], positions), shape=(idx.size, idx.size))
+        blocks[key] = (idx, block)
     return blocks
 
 
 def total_sz_operator(spec: RingSpec) -> np.ndarray:
-    return np.diag(_product_basis(spec)[0].sum(axis=1) / 2.0)
+    return np.diag(_sector_layout(spec.sites).m.sum(axis=1))
+
+
+@functools.lru_cache(maxsize=16)  # one (2s+1)^2 matrix per spin value
+def _tau_x(s: float) -> np.ndarray:
+    """Read-only real tau_x of one spin-s site."""
+    tau_x = spin_operators(s)[0].real.copy()
+    tau_x.setflags(write=False)
+    return tau_x
 
 
 @dataclass(frozen=True)
@@ -258,7 +306,7 @@ def regauge(encoding: QubitEncoding, spec: RingSpec | None = None) -> QubitEncod
     ket0 = _canonical_phase(np.asarray(encoding.ket0, dtype=np.complex128))
     ket1 = np.asarray(encoding.ket1, dtype=np.complex128)
     if spec is not None:
-        tau_x = spin_operators(spec.sites[0])[0].real
+        tau_x = _tau_x(spec.sites[0])
         x10 = np.vdot(ket1, _on_site(tau_x, 0, ket0, spec.site_dims))
         if abs(x10) > 1e-12 * max(max_entry_norm(tau_x), 1.0):
             ket1 = ket1 * np.exp(1j * np.angle(x10))
@@ -289,13 +337,23 @@ def _lowest_levels(block, count: int, scale: float) -> tuple[np.ndarray, np.ndar
     return values, vectors
 
 
+def _gershgorin_floor(block) -> float:
+    """min_i (H_ii - sum_{j != i} |H_ij|) of a dense or CSR block: no
+    eigenvalue lies below it."""
+    centre = block.diagonal()
+    return float((centre - (abs(block).sum(axis=1) - abs(centre))).min())
+
+
 def ground_doublet(sectors: dict, spec: RingSpec) -> QubitEncoding:
     """Extract the qubit encoding from a ring's sector blocks.
 
     |1> and |0> are the ground states of the S_z = +1/2 and -1/2 sectors
     (time reversal makes them degenerate and sector -M a copy of +M).  The
     gap, to the second +1/2 level or the ground level of a sector 2M > 1,
-    must exceed GROUND_CLUSTER_RTOL times the largest block entry.
+    must exceed GROUND_CLUSTER_RTOL times the largest block entry.  Sectors
+    2M > 1 are visited in ascending order, and one whose Gershgorin floor
+    lies above the lowest level found so far by more than that window is not
+    diagonalised: it cannot hold the level that sets the gap.
     """
     if 1 not in sectors:
         raise GroundDoubletError("integer total spin: no S_z = +-1/2 doublet")
@@ -307,9 +365,14 @@ def ground_doublet(sectors: dict, spec: RingSpec) -> QubitEncoding:
     minus, vec0 = _lowest_levels(block0, 1, scale)
     if abs(minus[0] - plus[0]) > window:
         raise ValidationError("+-1/2 ground energies differ: H breaks time reversal")
-    above = list(plus[1:]) + [
-        _lowest_levels(b, 1, scale)[0][0] for key, (_, b) in sectors.items() if key > 1
-    ]
+    above = list(plus[1:])
+    for key in sorted(key for key in sectors if key > 1):
+        block = sectors[key][1]
+        # a sector whose Gershgorin floor clears the lowest level so far by
+        # the window cannot lower it, even after rounding in floor or solver
+        if above and _gershgorin_floor(block) > min(above) + window:
+            continue
+        above.append(_lowest_levels(block, 1, scale)[0][0])
     gap = float(min(above) - (plus[0] + minus[0]) / 2) if above else math.inf
     if not gap > window:
         raise GroundDoubletError(f"no S_z = +-1/2 ground doublet (gap {gap:.3e})")
@@ -340,11 +403,11 @@ def doublet_matrix_elements(
     kets = np.stack([encoding.ket0, encoding.ket1])
     dims = spec.site_dims
     x10 = [
-        np.vdot(kets[1], _on_site(spin_operators(s)[0].real, k, kets[0], dims))
+        np.vdot(kets[1], _on_site(_tau_x(s), k, kets[0], dims))
         for k, s in enumerate(spec.sites)
     ]
     # tau_z is diagonal in the product basis: <v|tau_{k,z}|v> = sum_i |v_i|^2 m_k(i)
-    z00, z11 = np.abs(kets) ** 2 @ _product_basis(spec)[0] / 2.0
+    z00, z11 = np.abs(kets) ** 2 @ _sector_layout(spec.sites).m
     x10, z00, z11 = (np.asarray(v, dtype=np.complex128) for v in (x10, z00, z11))
     return SiteMatrixElements(x10=x10, z00=z00, z11=z11)
 

@@ -6,7 +6,11 @@ primitive replaces.  `kron_ring_hamiltonian` sums the dense ring Hamiltonian
 from those chains, and `reference_encoding` takes the ground doublet from
 its full eigendecomposition, the route the library's sector solver replaces.
 `scatter` turns the library's sector blocks back into one dense matrix.
-Tests compare the library against all of them.
+`direct_sector_blocks` builds the sector blocks from scratch for one spec,
+the route the library's cached per-spin layout replaces, and
+`every_sector_gap` takes the doublet gap from every sector 2M > 1, the route
+the library's Gershgorin skip replaces.  Tests compare the library against
+all of them.
 """
 from __future__ import annotations
 
@@ -16,7 +20,8 @@ from functools import reduce
 import numpy as np
 
 from ringstar.errors import GroundDoubletError
-from ringstar.rings import spin_operators
+from ringstar.linalg import max_entry_norm
+from ringstar.rings import DENSE_SECTOR_MAX, _lowest_levels, spin_operators
 
 # the library's doublet window, restated: levels within this fraction of the
 # largest Hamiltonian entry count as one multiplet
@@ -60,6 +65,74 @@ def scatter(sectors, dim: int) -> np.ndarray:
         dense = block if isinstance(block, np.ndarray) else block.toarray()
         h[np.ix_(idx, idx)] = dense
     return h
+
+
+def direct_sector_blocks(spec) -> dict:
+    """{2M: (indices, block)} as build_ring_hamiltonian returns it, enumerated
+    anew for this spec: the product basis, every bond's ladder entries, and
+    each sector's entries scattered into a dense or CSR block."""
+    dims = np.array(spec.site_dims)
+    strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
+    levels = (np.arange(spec.dim)[:, None] // strides) % dims
+    two_m = np.round(2 * np.array(spec.sites)).astype(int) - 2 * levels
+    m = two_m / 2.0
+    casimir = np.array([s * (s + 1) for s in spec.sites])
+    diag = (m**2 - casimir / 3.0) @ np.array(spec.crystal_fields)
+    states = np.arange(spec.dim)
+    rows, cols, vals = [states], [states], [diag]
+    for k, j in enumerate(spec.bond_couplings):
+        q = (k + 1) % spec.n_sites
+        if q == k:  # a one-site ring: tau . tau = s(s+1)
+            diag += j * casimir[k]
+            continue
+        diag += j * m[:, k] * m[:, q]
+        raise_k = casimir[k] - m[:, k] * (m[:, k] + 1)
+        lower_q = casimir[q] - m[:, q] * (m[:, q] - 1)
+        src = np.flatnonzero((raise_k > 0) & (lower_q > 0))
+        dst = src - strides[k] + strides[q]
+        amp = (j / 2) * np.sqrt(raise_k[src] * lower_q[src])
+        rows += [src, dst]
+        cols += [dst, src]
+        vals += [amp, amp]
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    keys, sector = np.unique(two_m.sum(axis=1), return_inverse=True)
+    entry_sector = sector[rows]
+    position = np.empty(spec.dim, dtype=np.intp)
+    blocks = {}
+    for i, key in enumerate(keys):
+        idx = np.flatnonzero(sector == i)
+        position[idx] = np.arange(idx.size)
+        sel = entry_sector == i
+        entries = (vals[sel], (position[rows[sel]], position[cols[sel]]))
+        if idx.size <= DENSE_SECTOR_MAX:
+            block = np.zeros((idx.size, idx.size))
+            np.add.at(block, entries[1], entries[0])
+        else:
+            from scipy import sparse
+
+            block = sparse.csr_array(entries, shape=(idx.size, idx.size))
+        blocks[int(key)] = (idx, block)
+    return blocks
+
+
+def every_sector_gap(sectors) -> float:
+    """ground_doublet's gap with the lowest level of every sector 2M > 1
+    computed, by the library's own per-sector solver, so that only the
+    choice of sectors differs.  Raises GroundDoubletError where it must."""
+    if 1 not in sectors:
+        raise GroundDoubletError("integer total spin: no S_z = +-1/2 doublet")
+    scale = max(max(max_entry_norm(block) for _, block in sectors.values()), 1.0)
+    plus = _lowest_levels(sectors[1][1], 2, scale)[0]
+    minus = _lowest_levels(sectors[-1][1], 1, scale)[0]
+    above = list(plus[1:]) + [
+        _lowest_levels(block, 1, scale)[0][0]
+        for key, (_, block) in sectors.items()
+        if key > 1
+    ]
+    gap = float(min(above) - (plus[0] + minus[0]) / 2) if above else math.inf
+    if not gap > CLUSTER_RTOL * scale:
+        raise GroundDoubletError(f"no S_z = +-1/2 ground doublet (gap {gap:.3e})")
+    return gap
 
 
 # the library's pivot tie window, restated: the first entry within this

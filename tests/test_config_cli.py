@@ -665,6 +665,34 @@ def test_cli_validate_rejects_unknown_protocol_keys(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize(
+    "section, payload",
+    [("sweep", {"bogus": 1}), ("grids", {"time": [0.0], "tiem": [0.0]}),
+     ("protocol", {"source": "center", "bogus": 1})],
+)
+def test_cli_rejects_unknown_keys_in_sections_the_command_does_not_read(
+    tmp_path, section, payload
+):
+    # spectrum reads neither sweep, grids nor protocol; the keys of each
+    # section are the union over the commands one file can feed
+    config = json.loads((CONFIGS / "center-w.json").read_text(encoding="utf-8"))
+    config[section] = payload
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    shipped = str(CONFIGS / "center-w.json")  # protocol.source beside protocol.initial
+    assert run_cli("spectrum", "--config", shipped, "--out", str(tmp_path / "x.csv")) == 0
+
+
+def test_cli_z_convention_override_still_checks_the_config(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", dict(EVOLVE, z_convention="spin"))
+    out = str(tmp_path / "x.csv")
+    assert run_cli("validate", "--config", cfg, "--out", out, "--z-convention", "pauli") == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    cfg = write_json(tmp_path / "cfg.json", dict(EVOLVE, z_convention="halfspin"))
+    assert run_cli("validate", "--config", cfg, "--out", out, "--z-convention", "pauli") == 0
+
+
 EFFECTIVE = {"mode": "effective", "effective": {"gammas": [1.0] * 3, "deltas": [-1.0] * 3}}
 EVOLVE = dict(EFFECTIVE, protocol={"initial": 1}, grids={"time": [0.0, 1.0]})
 SITE_W = {"source": 3, "n_sites": 3, "constraint": 1.0}

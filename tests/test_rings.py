@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ringstar import rings
 from ringstar.errors import DimensionCapError, GroundDoubletError, ValidationError
+from ringstar.linalg import hermitian_eigendecompose
 from ringstar.rings import (
     DENSE_SECTOR_MAX,
     QubitEncoding,
@@ -24,6 +26,8 @@ from ringstar.rings import (
 )
 
 from kron_reference import (
+    direct_sector_blocks,
+    every_sector_gap,
     kron_ring_hamiltonian,
     reference_encoding,
     scatter,
@@ -292,6 +296,80 @@ def test_property_sector_encoding_matches_dense_reference(spec):
     assert np.abs(elems.x10 - x10).max() < tol
     assert np.abs(elems.z00 - z00).max() < tol
     assert np.abs(elems.z11 - z11).max() < tol
+
+
+@st.composite
+def same_shape_rings(draw):
+    """Two rings with one tuple of site spins and independent signed bonds
+    and fields."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    sites = tuple(draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=n, max_size=n)))
+    coeff = st.floats(min_value=-20.0, max_value=20.0, allow_subnormal=False)
+    return tuple(
+        RingSpec(
+            sites=sites,
+            bond_couplings=tuple(draw(st.lists(coeff, min_size=n, max_size=n))),
+            crystal_fields=tuple(draw(st.lists(coeff, min_size=n, max_size=n))),
+        )
+        for _ in range(2)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_shape_rings())
+@example((RingSpec((1.0,), (-3.0,), (0.7,)), RingSpec((1.0,), (2.0,), (-0.4,))))
+@example((RingSpec((0.5, 1.5), (2.0, -0.5), (0.3, -1.1)), RingSpec((0.5, 1.5), (1.0, 1.0), (0.0, 0.0))))
+@example((RingSpec.cr_ni(5), RingSpec.cr_ni(5, exchange=-9.0, ratio=1.3, crystal_field=-0.8)))
+def test_property_cached_layout_gives_direct_blocks_bit_for_bit(pair):
+    # alternate the two specs, so a layout that kept values of one spec
+    # would show in the blocks of the other
+    for spec in pair + pair:
+        blocks = build_ring_hamiltonian(spec)
+        reference = direct_sector_blocks(spec)
+        assert list(blocks) == list(reference)
+        for key, (idx, block) in blocks.items():
+            ref_idx, ref_block = reference[key]
+            assert np.array_equal(idx, ref_idx)
+            assert isinstance(block, np.ndarray) == isinstance(ref_block, np.ndarray)
+            if not isinstance(block, np.ndarray):
+                assert block.format == ref_block.format == "csr"
+                block, ref_block = block.toarray(), ref_block.toarray()
+            assert np.array_equal(block, ref_block)
+        with pytest.raises(ValueError):
+            idx[0] = 0  # the cached index tables are read-only
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_rings())
+@example(RingSpec.cr_ni(3))
+@example(RingSpec.cr_ni(3, exchange=-17.0, crystal_field=0.0))
+@example(RingSpec.cr_ni(3, exchange=-17.0, crystal_field=-0.3))
+@example(RingSpec((1.5, 0.5, 2.0), bond_couplings=(-3.0, -1.0, -2.0), crystal_fields=(0.0,) * 3))
+@example(RingSpec.cr_ni(5, exchange=-11.0, ratio=-0.6, crystal_field=0.9))
+def test_property_gershgorin_skip_never_moves_the_gap(spec):
+    sectors = build_ring_hamiltonian(spec)
+    try:
+        gap = every_sector_gap(sectors)
+    except GroundDoubletError:
+        with pytest.raises(GroundDoubletError):
+            ground_doublet(sectors, spec)
+        return
+    assert ground_doublet(sectors, spec).gap == gap
+
+
+def test_default_x3_encoding_diagonalises_three_sectors(monkeypatch):
+    # 2M = +1, -1 and 3: the Gershgorin floors of 2M = 5, 7, 9 and 11 lie
+    # above the 2M = 3 level, so those four sectors are skipped
+    sizes = []
+
+    def counting(matrix):
+        sizes.append(matrix.shape[0])
+        return hermitian_eigendecompose(matrix)
+
+    monkeypatch.setattr(rings, "hermitian_eigendecompose", counting)
+    enc, _ = ring_qubit_encoding(RingSpec.cr_ni(3))
+    assert len(sizes) == 3
+    assert abs(enc.gap - 24.72156756852044) < 1e-8
 
 
 def test_regauge_breaks_magnitude_ties_by_first_index():

@@ -1,14 +1,16 @@
 """Batch command-line front-end.
 
 Every command reads one JSON config and writes CSV.  All computation happens
-before any file is opened, so a failing run leaves no partial output.  Exit
-codes sort failures by kind: 2 config/parse, 3 validation, 4 infeasible
-protocol or divergent extraction, 5 dimension cap.
+before any file is opened and the outputs are moved into place together, so
+a failing run leaves no partial output.  Exit codes sort failures by kind:
+2 config/parse or an unwritable output, 3 validation, 4 infeasible protocol
+or divergent extraction, 5 dimension cap.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -235,11 +237,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_all(outputs: list[tuple[str, list, list]]) -> None:
+    """Write every output or none: all go to `<path>.part` before any is moved."""
+    parts = [path + ".part" for path, _, _ in outputs]
+    try:
+        for part, (path, header, rows) in zip(parts, outputs):
+            if os.path.isdir(path):  # os.replace could not put the part there
+                raise IsADirectoryError(f"output path {path!r} is a directory")
+            write_csv(part, header, rows)
+        for part, (path, _, _) in zip(parts, outputs):
+            os.replace(part, path)
+    finally:
+        for part in filter(os.path.isfile, parts):  # what a failure left
+            os.remove(part)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = cfg_mod.load_config(args.config)
         outputs = COMMANDS[args.command](cfg, args)
+        _write_all(outputs)
     except ConfigError as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -255,8 +273,10 @@ def main(argv=None) -> int:
     except RingStarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    for path, header, rows in outputs:
-        write_csv(path, header, rows)
+    except OSError as exc:  # the config reader raises ConfigError for its own
+        print(f"error [output]: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    for path, _, rows in outputs:
         print(f"wrote {path} ({len(rows)} rows)")
     return 0
 

@@ -343,7 +343,11 @@ def find_delta_transitions(
             # the b actually used, which the crossing's line goes through
             width = (b_stop - b_start) / (points - 1)
             grid[j] = float(b) + 1e-9 * width
-            pair = evaluate(float(grid[j]))
+            try:
+                pair = evaluate(float(grid[j]))
+            except AnisotropyDivergenceError:  # still in the divergence window
+                grid[j] = float(b) + (0.5 if j < points - 1 else -0.5) * width
+                pair = evaluate(float(grid[j]))
         gammas[j] = pair.gamma
         deltas[j] = pair.delta
     offsets = deltas - level

@@ -27,13 +27,7 @@ import numpy as np
 
 from .errors import DimensionCapError, ValidationError
 from .linalg import HERMITICITY_RTOL, hermitian_eigendecompose, max_entry_norm
-from .star import (
-    StarNetwork,
-    as_subspace_state,
-    closed_form_from_center,
-    closed_form_from_site,
-    propagate,
-)
+from .star import StarNetwork, as_subspace_state, propagate
 
 # 14 qubits peak at about 9 MB: partner indices and hop weights (1.7 MB each),
 # the 13 weighted terms of one H.v (3.4 MB), 14 Krylov columns (3.7 MB).
@@ -207,8 +201,8 @@ def cross_validate(
 ) -> ValidationReport:
     """Three-way comparison of the propagation routes.
 
-    closed_form_vs_spectral: closed forms against numerical propagation of
-    the effective model (only when the constraint holds; asserted at 1e-9).
+    closed_form_vs_spectral: `propagate`'s closed form, which every command
+    uses, against its numerical route (when the constraint holds; at 1e-9).
     subspace_vs_fullspace: effective model against the projected full-space
     dynamics (asserted at 1e-9 only when every gamma(1+Delta) vanishes,
     where the z-conventions coincide; otherwise reported unasserted).
@@ -223,11 +217,7 @@ def cross_validate(
     checks: list[CheckResult] = []
 
     if network.constraint_holds:
-        analytic = sum(
-            amps[j] * closed_form_from_site(network, j + 1, t_grid) if j < n
-            else amps[j] * closed_form_from_center(network, t_grid)
-            for j in np.flatnonzero(amps)
-        )
+        analytic = propagate(network, amps, t_grid, method="analytic")
         dev = float(np.abs(analytic - numeric).max())
         checks.append(CheckResult("closed_form_vs_spectral", dev, 1e-9))
 

@@ -15,10 +15,11 @@ spectrum is known in closed form: an (N-1)-fold level at C(N-2)/4 spanned by
 
     lambda = ( -C +- sqrt(4 Omega^2 + C^2 (N-1)^2) ) / 4,   Omega^2 = sum gamma_i^2.
 
-Propagation from a basis state then reduces to three scalar amplitudes built
-from the mixing parameter A = B - sqrt(1+B^2), B = C(N-1)/(2 Omega), and the
-angles theta_1 = Omega A t / 2, theta_2 = Omega t / (2A); these obey
-theta_1 + theta_2 = -(t/2) sqrt(4 Omega^2 + C^2 (N-1)^2).
+`propagate` evaluates it from the pair alone: a state less its projections on
+the two pair vectors keeps the degenerate phase, and each projection takes its
+own.  The paper's form of the same propagator, through A = B - sqrt(1+B^2),
+B = C(N-1)/(2 Omega) and theta_1 = Omega A t / 2, theta_2 = Omega t / (2A)
+(`phase_angles`), loses digits where B is large; the tests keep it as a reference.
 
 Outer sites with gamma_m = 0 decouple exactly (unit-vector eigenstates); a
 nonzero common C is then unreachable for them, so the constraint can only
@@ -231,13 +232,6 @@ def basis_state(network: StarNetwork, site: int) -> np.ndarray:
     return v
 
 
-def _time_grid(times) -> np.ndarray:
-    t = np.asarray(times, dtype=np.float64)
-    if t.ndim != 1:
-        raise ValidationError(f"times must be a 1-d grid, got shape {t.shape}")
-    return t
-
-
 def propagate(
     network: StarNetwork, state, times, method: str = "auto"
 ) -> np.ndarray:
@@ -252,7 +246,9 @@ def propagate(
     amps = as_subspace_state(state, network.dim)
     if method not in ("auto", "analytic", "numerical"):
         raise ValidationError(f"unknown method {method!r}")
-    t = _time_grid(times)
+    t = np.asarray(times, dtype=np.float64)
+    if t.ndim != 1:
+        raise ValidationError(f"times must be a 1-d grid, got shape {t.shape}")
     if method == "auto":
         method = "analytic" if network.constraint_holds else "numerical"
     if method == "numerical":
@@ -277,68 +273,27 @@ def evolve_subspace(
     return propagate(network, state, [time], method)[0]
 
 
-def _mixing_parameter(c: float, n: int, omega: float) -> float:
-    b = c * (n - 1) / (2.0 * omega)
-    return b - math.hypot(1.0, b)
-
-
 def phase_angles(network: StarNetwork, time: float) -> tuple[float, float]:
     """(theta_1, theta_2) of a constraint-satisfying network at a given time."""
     c = _require_constraint(network, "phase angles")
     omega = network.omega
     if omega == 0.0:
         raise ValidationError("zero-coupling network has no oscillation phases")
-    a = _mixing_parameter(c, network.n_sites, omega)
+    b = c * (network.n_sites - 1) / (2.0 * omega)
+    a = b - math.hypot(1.0, b)  # the mixing parameter A
     return omega * a * time / 2.0, omega * time / (2.0 * a)
-
-
-def _scalar_amplitudes(
-    c: float, n: int, omega: float, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """lambda, r, s and the center's return amplitude over a time grid."""
-    a = _mixing_parameter(c, n, omega)
-    lam = np.exp(-1j * c * (n - 2) * t / 4.0)
-    phase1 = np.exp(1j * (omega * a * t / 2.0))  # e^(i theta_1)
-    phase2 = np.exp(-1j * (omega * t / (2.0 * a)))  # e^(-i theta_2)
-    denom = 1.0 + a * a
-    r = lam * (phase1 + a * a * phase2) / denom
-    s = -a * lam * (phase1 - phase2) / denom
-    return lam, r, s, lam * (a * a * phase1 + phase2) / denom
 
 
 def closed_form_from_site(network: StarNetwork, site: int, times) -> np.ndarray:
     """States over a 1-d time grid after starting in |psi_site> (outer site,
     1-based): row k of the (T, N+1) result is the state at times[k]."""
-    c = _require_constraint(network, "the closed-form propagator")
     n = network.n_sites
     if not 1 <= site <= n:
         raise ValidationError(f"source site must be in 1..{n}, got {site}")
-    t = _time_grid(times)
-    g = network.gammas
-    omega = network.omega
-    if omega == 0.0:
-        # constraint forces C = 0 here, so the Hamiltonian vanishes
-        return np.tile(basis_state(network, site), (t.size, 1))
-    lam, r, s, _ = _scalar_amplitudes(c, n, omega, t)
-    gi = g[site - 1]
-    out = np.empty((t.size, n + 1), dtype=np.complex128)
-    out[:, :n] = np.outer(r - lam, g * gi / omega**2)
-    out[:, site - 1] = lam - (gi**2 / omega**2) * (lam - r)
-    out[:, n] = (gi / omega) * s
-    return out
+    return propagate(network, basis_state(network, site), times, "analytic")
 
 
 def closed_form_from_center(network: StarNetwork, times) -> np.ndarray:
     """States over a 1-d time grid after starting with the excitation on the
     center: row k of the (T, N+1) result is the state at times[k]."""
-    c = _require_constraint(network, "the closed-form propagator")
-    n = network.n_sites
-    t = _time_grid(times)
-    omega = network.omega
-    if omega == 0.0:
-        return np.tile(basis_state(network, n + 1), (t.size, 1))
-    _, _, s, center = _scalar_amplitudes(c, n, omega, t)
-    out = np.empty((t.size, n + 1), dtype=np.complex128)
-    out[:, :n] = np.outer(s, network.gammas / omega)
-    out[:, n] = center
-    return out
+    return propagate(network, basis_state(network, network.dim), times, "analytic")

@@ -620,6 +620,22 @@ def test_cli_usage_errors_exit_2_and_write_nothing(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == [Path(cfg).name]
 
 
+@pytest.mark.parametrize("blocked", ["t/w-network.csv", "t"])
+def test_cli_unwritable_output_exits_2_and_writes_nothing(tmp_path, capsys, blocked):
+    # a directory where the second output goes, or no directory for any
+    (tmp_path / "t").mkdir()
+    if blocked == "t":
+        (tmp_path / "t").rmdir()
+    else:
+        (tmp_path / blocked).mkdir()
+    out = tmp_path / "t" / "w.csv"
+    code = run_cli("wgen", "--config", str(CONFIGS / "center-w.json"), "--out", str(out))
+    assert code == 2
+    assert "error [output]: " in capsys.readouterr().err
+    left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+    assert left == ([] if blocked == "t" else ["t", "t/w-network.csv"])
+
+
 def test_cli_validation_error_exit(tmp_path):
     cfg = effective_uniform(
         tmp_path,

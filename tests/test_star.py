@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringstar.errors import ConstraintError, ValidationError
@@ -320,6 +320,64 @@ def test_property_closed_forms_track_dense_propagator(case):
             ref = expm_evolve(net, basis_state(net, source), t)
             assert np.abs(out - ref).max() < 1e-9
             assert abs(np.linalg.norm(out) - 1.0) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(constrained_cases())
+@example(  # Omega = 0
+    (StarNetwork(gammas=np.zeros(2), deltas=np.full(2, -1.0)), np.array([2.0]), 1)
+)
+def test_property_closed_forms_are_propagate(case):
+    # one closed-form route: the basis-state propagators are `propagate`
+    net, times, _ = case
+    for source in range(1, net.dim + 1):
+        start = basis_state(net, source)
+        want = propagate(net, start, times, "analytic")
+        if source == net.dim:
+            assert np.array_equal(closed_form_from_center(net, times), want)
+        else:
+            assert np.array_equal(closed_form_from_site(net, source, times), want)
+
+
+def paper_amplitudes(network, time):
+    """The paper's closed form at one time, through the mixing parameter
+    A = B - sqrt(1+B^2), B = C(N-1)/(2 Omega), and `phase_angles`: the
+    degenerate phase lambda, the return amplitude r of the source's bright
+    part, the source-to-center amplitude s and the center's return amplitude."""
+    c, n, omega = network.constraint_value, network.n_sites, network.omega
+    b = c * (n - 1) / (2.0 * omega)
+    a = b - math.hypot(1.0, b)
+    theta1, theta2 = phase_angles(network, time)
+    lam = np.exp(-1j * c * (n - 2) * time / 4.0)
+    phase1, phase2 = np.exp(1j * theta1), np.exp(-1j * theta2)
+    denom = 1.0 + a * a
+    r = lam * (phase1 + a * a * phase2) / denom
+    s = -a * lam * (phase1 - phase2) / denom
+    return lam, r, s, lam * (a * a * phase1 + phase2) / denom
+
+
+def paper_state(network, source, time):
+    """The state at `time` from |psi_source> by the paper's amplitudes."""
+    lam, r, s, center = paper_amplitudes(network, time)
+    n, g, omega = network.n_sites, network.gammas, network.omega
+    if source == n + 1:
+        return np.append(s * g / omega, center)
+    gi = g[source - 1]
+    out = np.append((r - lam) * g * gi / omega**2, (gi / omega) * s)
+    out[source - 1] = lam - (gi**2 / omega**2) * (lam - r)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(constrained_cases())
+@example((constrained_network([0.2, 0.2, 0.2], 1.3), np.array([-8.0, 0.5, 8.0]), 2))  # B ~ 3.8
+def test_property_paper_amplitudes_match_propagate(case):
+    net, times, site = case
+    assume(abs(net.constraint_value) * (net.n_sites - 1) / (2.0 * net.omega) <= 10.0)
+    for source in (site, net.dim):
+        rows = propagate(net, basis_state(net, source), times, "analytic")
+        for t, row in zip(times, rows):
+            assert np.abs(row - paper_state(net, source, t)).max() < 1e-10
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,0 +1,150 @@
+"""Record what every benchmark-stream and `configs/` CLI run writes.
+
+    python3 tools/output_digests.py OUT.json [--against BASE.json] [--root DIR]
+
+Runs, in one process, every CLI job of the benchmark streams for seeds 1-3
+(`perfbench/streams.py`, imported read-only) and every `configs/*.json` under
+each of the seven commands, and writes OUT.json: per run, the exit code and
+the sha256 of each CSV it wrote, with the CSV text kept (zlib, base64) so a
+later comparison can report numbers.  With --against, prints every run whose
+exit code or bytes differ from BASE.json and, per command, the largest
+absolute change in a numeric cell.  --root picks the checkout whose `src/`,
+`configs/` and `perfbench/` are used (default: this one), so a parent
+commit's outputs can be recorded with the same script.
+"""
+from __future__ import annotations
+
+import argparse
+import base64
+import contextlib
+import glob
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+import zlib
+
+SEEDS = (1, 2, 3)
+COMMANDS = ("spectrum", "evolve", "wgen", "sweep-fluct", "transfer", "sweep-aniso",
+            "validate")
+
+
+def runs(root: str):
+    """(run id, command, config bytes) of every run, in a fixed order."""
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    from streams import WORKLOADS, config_bytes, make_stream
+
+    for seed in SEEDS:
+        for workload in WORKLOADS:
+            for job in make_stream(workload, seed):
+                if job["kind"] == "cli":
+                    yield f"seed{seed}/{job['id']}", job["command"], config_bytes(job)
+    for path in sorted(glob.glob(os.path.join(root, "configs", "*.json"))):
+        with open(path, "rb") as fh:
+            config = fh.read()
+        for command in COMMANDS:
+            yield f"configs/{os.path.basename(path)}/{command}", command, config
+
+
+def record(root: str) -> dict:
+    sys.path.insert(0, os.path.join(root, "src"))
+    import ringstar.cli
+
+    results = {}
+    with tempfile.TemporaryDirectory() as work:
+        for i, (run_id, command, config) in enumerate(runs(root)):
+            rundir = os.path.join(work, str(i))
+            os.mkdir(rundir)
+            cfg_path = os.path.join(rundir, "config.json")
+            with open(cfg_path, "wb") as fh:
+                fh.write(config)
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = ringstar.cli.main(
+                    [command, "--config", cfg_path, "--out", os.path.join(rundir, "out.csv")])
+            outputs = {}
+            for name in sorted(os.listdir(rundir)):
+                if name != "config.json":
+                    with open(os.path.join(rundir, name), "rb") as fh:
+                        data = fh.read()
+                    outputs[name] = {
+                        "sha256": hashlib.sha256(data).hexdigest(),
+                        "csv": base64.b64encode(zlib.compress(data)).decode(),
+                    }
+            results[run_id] = {"command": command, "exit": code, "outputs": outputs}
+    return results
+
+
+def _cells(entry: dict) -> list[list[str]]:
+    text = zlib.decompress(base64.b64decode(entry["csv"])).decode()
+    return [line.split(",") for line in text.splitlines()]
+
+
+def largest_change(old: dict, new: dict) -> float:
+    """Largest absolute difference between numeric cells at the same place;
+    inf when the tables differ in shape or in a non-numeric cell."""
+    a, b = _cells(old), _cells(new)
+    if [len(r) for r in a] != [len(r) for r in b]:
+        return math.inf
+    worst = 0.0
+    for row_a, row_b in zip(a, b):
+        for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            try:
+                worst = max(worst, abs(float(x) - float(y)))
+            except ValueError:
+                return math.inf
+    return worst
+
+
+def compare(base: dict, current: dict) -> int:
+    """Print the runs that differ; returns how many do."""
+    changed, worst = 0, {}
+    for run_id in sorted(set(base) | set(current)):
+        old, new = base.get(run_id), current.get(run_id)
+        if old is None or new is None:
+            print(f"{run_id}: only in {'current' if old is None else 'base'}")
+            changed += 1
+            continue
+        notes = []
+        if old["exit"] != new["exit"]:
+            notes.append(f"exit {old['exit']} -> {new['exit']}")
+        for name in sorted(set(old["outputs"]) | set(new["outputs"])):
+            o, n = old["outputs"].get(name), new["outputs"].get(name)
+            if o is None or n is None:
+                notes.append(f"{name} {'added' if o is None else 'missing'}")
+            elif o["sha256"] != n["sha256"]:
+                delta = largest_change(o, n)
+                worst[new["command"]] = max(worst.get(new["command"], 0.0), delta)
+                notes.append(f"{name} max |change| {delta:.2g}")
+        if notes:
+            changed += 1
+            print(f"{run_id} [{new['command']}]: " + "; ".join(notes))
+    print(f"{changed} of {len(current)} runs differ")
+    for command, delta in sorted(worst.items()):
+        print(f"  {command}: largest absolute change {delta:.2g}")
+    return changed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="JSON file to write")
+    parser.add_argument("--against", help="earlier JSON to compare with")
+    parser.add_argument("--root", default=os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), help="checkout to run (default: this one)")
+    args = parser.parse_args(argv)
+    results = record(os.path.abspath(args.root))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(results, fh, indent=1, sort_keys=True)
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            compare(json.load(fh), results)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,8 +33,8 @@ from .linalg import HERMITICITY_RTOL, hermitian_eigendecompose, max_entry_norm
 # Largest full product dimension of a ring (a config's `dim_cap`; larger
 # rings exit with code 5).  The sector route holds O(L * dim) numbers: the
 # cached sector layout, blocks with at most 2L + 1 entries per row, and the
-# two doublet kets.  x = 5 (dim 3072) peaks 6 MB above the imports, x = 7
-# 40 MB, the layout included.
+# two doublet kets.  x = 5 (dim 3072) peaks 4.5 MB above the imports, x = 7
+# 39 MB, the layout included.
 DEFAULT_DIM_CAP = 4096
 
 DENSE_SECTOR_MAX = 200  # larger sectors are diagonalised by sparse Lanczos
@@ -146,16 +146,6 @@ class RingSpec:
         return int(np.prod(self.site_dims))
 
 
-def _on_site(
-    op: np.ndarray, site: int, states: np.ndarray, dims: tuple[int, ...]
-) -> np.ndarray:
-    """Apply a single-site matrix (0-based site) to a ket (dim,) or to the
-    columns of a (dim, m) array, along that site's axis of the product space."""
-    tensor = states.reshape(dims + states.shape[1:])
-    moved = np.moveaxis(np.tensordot(op, tensor, axes=(1, site)), 0, site)
-    return moved.reshape(states.shape)
-
-
 class _SectorLayout(NamedTuple):
     """The part of a ring's sector build that depends only on its site spins.
 
@@ -166,22 +156,26 @@ class _SectorLayout(NamedTuple):
     ascending product-basis indices of its states, take the positions of its
     entries in build_ring_hamiltonian's concatenated [diagonal, hops of bond
     1, their mirrors, ...] values, and (row, col) their places in the block.
+    ladder = (starts, src, dst, half_roots) holds each S+_k from the S_z = -1/2
+    sector to +1/2 (site k's at starts[k]:starts[k+1]) and tau_{k,x}'s element
+    sqrt(s(s+1) - m(m+1)) / 2; it is empty when the total spin is an integer.
     """
 
     m: np.ndarray
     casimir: np.ndarray
     roots: tuple[np.ndarray, ...]
     sectors: tuple[tuple[int, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]], ...]
+    ladder: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-# A layout holds the m table, the ladder roots and three indices per H entry:
-# 16.8 MB for x = 7 (dim 49152), 35 kB for x = 3.
+# A layout holds the m table, the ladder roots, three indices per H entry and
+# the ladder table (0.9 MB of it): 17.7 MB for x = 7 (dim 49152), 38 kB for x = 3.
 @functools.lru_cache(maxsize=8)
 def _sector_layout(sites: tuple[float, ...]) -> _SectorLayout:
     """Index tables of the total-S_z sectors for one tuple of site spins,
     read-only because callers receive idx inside the sector blocks.  Product
-    indices are mixed-radix numbers with site 1 most significant (the axis
-    order of `_on_site`); level i of a site has m = s - i."""
+    indices are mixed-radix numbers with site 1 most significant; level i of
+    a site has m = s - i, so the spin flip m -> -m maps index i to dim-1-i."""
     dims = np.array([int(round(2 * s)) + 1 for s in sites])
     dim = int(np.prod(dims))
     strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
@@ -212,12 +206,19 @@ def _sector_layout(sites: tuple[float, ...]) -> _SectorLayout:
         position[idx] = np.arange(idx.size)
         take = np.flatnonzero(entry_sector == i)
         sectors.append((int(key), idx, take, (position[rows[take]], position[cols[take]])))
-    for array in (m, casimir, *roots):
+    # every S+_k from the S_z = -1/2 sector (none for integer spin), by site
+    minus = np.flatnonzero(keys[sector] == -1)
+    raising = casimir - m[minus] * (m[minus] + 1)
+    site, at = np.nonzero(raising.T > 0)
+    src = minus[at]
+    starts = np.searchsorted(site, np.arange(len(sites) + 1))
+    ladder = (starts, src, src - strides[site], np.sqrt(raising[at, site]) / 2)
+    for array in (m, casimir, *roots, *ladder):
         array.setflags(write=False)
     for _, idx, take, (row, col) in sectors:
         for array in (idx, take, row, col):
             array.setflags(write=False)
-    return _SectorLayout(m, casimir, tuple(roots), tuple(sectors))
+    return _SectorLayout(m, casimir, tuple(roots), tuple(sectors), ladder)
 
 
 def build_ring_hamiltonian(spec: RingSpec, dim_cap: int = DEFAULT_DIM_CAP) -> dict:
@@ -261,22 +262,14 @@ def total_sz_operator(spec: RingSpec) -> np.ndarray:
     return np.diag(_sector_layout(spec.sites).m.sum(axis=1))
 
 
-@functools.lru_cache(maxsize=16)  # one (2s+1)^2 matrix per spin value
-def _tau_x(s: float) -> np.ndarray:
-    """Read-only real tau_x of one spin-s site."""
-    tau_x = spin_operators(s)[0].real.copy()
-    tau_x.setflags(write=False)
-    return tau_x
-
-
 @dataclass(frozen=True)
 class QubitEncoding:
     """Ground doublet of one ring: |0> has total S_z = -1/2, |1> has +1/2.
 
-    gap is the energy from the doublet to the next level (inf when the ring's
-    spectrum has nothing above the doublet).  The relative phase of |1> is
-    gauge-fixed so the transverse matrix element at the reference site is real
-    and non-negative.
+    |0> is |1>'s spin flip up to a phase, each zero outside its sector.  gap
+    is the energy from the doublet to the next level (inf when nothing lies
+    above it).  The relative phase of |1> is gauge-fixed so the transverse
+    matrix element at the reference site is real and non-negative.
     """
 
     ket0: np.ndarray
@@ -294,21 +287,33 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (pivot.conj() / abs(pivot))
 
 
+def _transverse_elements(ket0: np.ndarray, ket1: np.ndarray, spec: RingSpec) -> np.ndarray:
+    """<1|tau_{k,x}|0> of every site k: one gather over the ladder table, one
+    sum per site.  Refuses kets with weight outside the -1/2 and +1/2 sectors."""
+    starts, src, dst, half_roots = _sector_layout(spec.sites).ladder
+    if np.delete(ket0, src).any() or np.delete(ket1, dst).any():
+        raise ValidationError("doublet kets must lie in the S_z = -1/2 and +1/2 sectors")
+    terms = np.append(ket1[dst].conj() * half_roots * ket0[src], 0.0)
+    # reduceat gives an empty segment (a spin-0 site) its first term: zero it
+    return np.where(starts[1:] > starts[:-1], np.add.reduceat(terms, starts[:-1]), 0.0)
+
+
 def regauge(encoding: QubitEncoding, spec: RingSpec | None = None) -> QubitEncoding:
     """Reapply the deterministic phase convention to a doublet.
 
     Strips whatever overall phases |0> and |1> carry (an eigensolver is free
     to pick any): |0> is rotated so its largest-magnitude entry (PIVOT_RTOL)
-    is real positive, |1> so that <1|tau_{1,x}|0> on site 1 of `spec` is real
-    non-negative.  Without a spec, or when that matrix element vanishes, |1>
-    falls back to the same largest-entry convention.
+    is real positive, |1> so that <1|tau_{1,x}|0> on site 1 of `spec` (kets
+    in the -1/2 and +1/2 sectors) is real non-negative.  Without a spec, or
+    when that element vanishes, |1> falls back to the largest-entry rule.
     """
     ket0 = _canonical_phase(np.asarray(encoding.ket0, dtype=np.complex128))
     ket1 = np.asarray(encoding.ket1, dtype=np.complex128)
     if spec is not None:
-        tau_x = _tau_x(spec.sites[0])
-        x10 = np.vdot(ket1, _on_site(tau_x, 0, ket0, spec.site_dims))
-        if abs(x10) > 1e-12 * max(max_entry_norm(tau_x), 1.0):
+        x10 = _transverse_elements(ket0, ket1, spec)[0]
+        starts, _, _, half_roots = _sector_layout(spec.sites).ladder
+        # site 1's largest |tau_x| entry is in its part of the ladder table
+        if abs(x10) > 1e-12 * max(half_roots[: starts[1]].max(initial=0.0), 1.0):
             ket1 = ket1 * np.exp(1j * np.angle(x10))
             return replace(encoding, ket0=ket0, ket1=ket1)
     return replace(encoding, ket0=ket0, ket1=_canonical_phase(ket1))
@@ -347,24 +352,23 @@ def _gershgorin_floor(block) -> float:
 def ground_doublet(sectors: dict, spec: RingSpec) -> QubitEncoding:
     """Extract the qubit encoding from a ring's sector blocks.
 
-    |1> and |0> are the ground states of the S_z = +1/2 and -1/2 sectors
-    (time reversal makes them degenerate and sector -M a copy of +M).  The
-    gap, to the second +1/2 level or the ground level of a sector 2M > 1,
-    must exceed GROUND_CLUSTER_RTOL times the largest block entry.  Sectors
-    2M > 1 are visited in ascending order, and one whose Gershgorin floor
-    lies above the lowest level found so far by more than that window is not
-    diagonalised: it cannot hold the level that sets the gap.
+    |1> is the S_z = +1/2 ground state and |0> its spin flip m -> -m: time
+    reversal makes sector -1/2 exactly +1/2 reversed (refused otherwise), so
+    only +1/2 is diagonalised.  The gap, to the second +1/2 level or the
+    ground level of a sector 2M > 1, must exceed GROUND_CLUSTER_RTOL times
+    the largest block entry.  Sectors 2M > 1 are visited in ascending order,
+    and one whose Gershgorin floor lies above the lowest level so far by
+    more than that window is skipped: it cannot hold the level of the gap.
     """
     if 1 not in sectors:
         raise GroundDoubletError("integer total spin: no S_z = +-1/2 doublet")
+    (idx0, block0), (idx1, block1) = sectors[-1], sectors[1]
+    flipped = np.array_equal(idx0, (spec.dim - 1 - idx1)[::-1])
+    if not flipped or (block0 != block1[::-1, ::-1]).sum():
+        raise ValidationError("-1/2 sector is not the spin flip of +1/2: H breaks time reversal")
     scale = max(max(max_entry_norm(block) for _, block in sectors.values()), 1.0)
     window = GROUND_CLUSTER_RTOL * scale
-    idx1, block1 = sectors[1]
-    idx0, block0 = sectors[-1]
     plus, vec1 = _lowest_levels(block1, 2, scale)
-    minus, vec0 = _lowest_levels(block0, 1, scale)
-    if abs(minus[0] - plus[0]) > window:
-        raise ValidationError("+-1/2 ground energies differ: H breaks time reversal")
     above = list(plus[1:])
     for key in sorted(key for key in sectors if key > 1):
         block = sectors[key][1]
@@ -373,13 +377,12 @@ def ground_doublet(sectors: dict, spec: RingSpec) -> QubitEncoding:
         if above and _gershgorin_floor(block) > min(above) + window:
             continue
         above.append(_lowest_levels(block, 1, scale)[0][0])
-    gap = float(min(above) - (plus[0] + minus[0]) / 2) if above else math.inf
+    gap = float(min(above) - plus[0]) if above else math.inf
     if not gap > window:
         raise GroundDoubletError(f"no S_z = +-1/2 ground doublet (gap {gap:.3e})")
-    kets = np.zeros((2, spec.dim))
-    kets[0, idx0] = vec0[:, 0]
-    kets[1, idx1] = vec1[:, 0]
-    raw = QubitEncoding(ket0=kets[0], ket1=kets[1], gap=gap, sz0=-0.5, sz1=0.5)
+    ket1 = np.zeros(spec.dim)
+    ket1[idx1] = vec1[:, 0]
+    raw = QubitEncoding(ket0=ket1[::-1], ket1=ket1, gap=gap, sz0=-0.5, sz1=0.5)
     return regauge(raw, spec)
 
 
@@ -400,14 +403,10 @@ class SiteMatrixElements:
 def doublet_matrix_elements(
     encoding: QubitEncoding, spec: RingSpec
 ) -> SiteMatrixElements:
-    kets = np.stack([encoding.ket0, encoding.ket1])
-    dims = spec.site_dims
-    x10 = [
-        np.vdot(kets[1], _on_site(_tau_x(s), k, kets[0], dims))
-        for k, s in enumerate(spec.sites)
-    ]
+    """Every site's elements, from the layout's ladder and m tables."""
+    x10 = _transverse_elements(encoding.ket0, encoding.ket1, spec)
     # tau_z is diagonal in the product basis: <v|tau_{k,z}|v> = sum_i |v_i|^2 m_k(i)
-    z00, z11 = np.abs(kets) ** 2 @ _sector_layout(spec.sites).m
+    z00, z11 = np.abs([encoding.ket0, encoding.ket1]) ** 2 @ _sector_layout(spec.sites).m
     x10, z00, z11 = (np.asarray(v, dtype=np.complex128) for v in (x10, z00, z11))
     return SiteMatrixElements(x10=x10, z00=z00, z11=z11)
 

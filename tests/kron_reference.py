@@ -1,8 +1,8 @@
 """Slow, independent references for the ring layer.
 
 `site_operator` embeds a single-site matrix into the ring's product space as
-an explicit Kronecker chain, the construction the library's tensor-axis
-primitive replaces.  `kron_ring_hamiltonian` sums the dense ring Hamiltonian
+an explicit Kronecker chain, the construction the library's index tables
+(sector layout and -1/2 -> +1/2 ladder table) replace.  `kron_ring_hamiltonian` sums the dense ring Hamiltonian
 from those chains, and `reference_encoding` takes the ground doublet from
 its full eigendecomposition, the route the library's sector solver replaces.
 `scatter` turns the library's sector blocks back into one dense matrix.
@@ -118,18 +118,19 @@ def direct_sector_blocks(spec) -> dict:
 def every_sector_gap(sectors) -> float:
     """ground_doublet's gap with the lowest level of every sector 2M > 1
     computed, by the library's own per-sector solver, so that only the
-    choice of sectors differs.  Raises GroundDoubletError where it must."""
+    choice of sectors differs.  Like the library it takes the -1/2 ground
+    energy to be the +1/2 one (the -1/2 block is the +1/2 block mirrored).
+    Raises GroundDoubletError where it must."""
     if 1 not in sectors:
         raise GroundDoubletError("integer total spin: no S_z = +-1/2 doublet")
     scale = max(max(max_entry_norm(block) for _, block in sectors.values()), 1.0)
     plus = _lowest_levels(sectors[1][1], 2, scale)[0]
-    minus = _lowest_levels(sectors[-1][1], 1, scale)[0]
     above = list(plus[1:]) + [
         _lowest_levels(block, 1, scale)[0][0]
         for key, (_, block) in sectors.items()
         if key > 1
     ]
-    gap = float(min(above) - (plus[0] + minus[0]) / 2) if above else math.inf
+    gap = float(min(above) - plus[0]) if above else math.inf
     if not gap > CLUSTER_RTOL * scale:
         raise GroundDoubletError(f"no S_z = +-1/2 ground doublet (gap {gap:.3e})")
     return gap

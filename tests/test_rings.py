@@ -2,6 +2,8 @@
 doublet that encodes one qubit."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,7 @@ from ringstar.rings import (
     QubitEncoding,
     RingSpec,
     _lowest_levels,
-    _on_site,
+    _sector_layout,
     build_ring_hamiltonian,
     doublet_matrix_elements,
     ground_doublet,
@@ -190,6 +192,20 @@ def test_broken_time_reversal_is_refused():
         ground_doublet(sectors, spec)
 
 
+def test_broken_time_reversal_is_refused_for_csr_blocks():
+    # x = 5: the -1/2 block is CSR; one diagonal entry moves by far less
+    # than the doublet window, and the block stays symmetric
+    spec = RingSpec.cr_ni(5)
+    sectors = build_ring_hamiltonian(spec)
+    idx, block = sectors[-1]
+    assert not isinstance(block, np.ndarray)
+    block = block.copy()
+    block[7, 7] += 1e-12
+    sectors[-1] = (idx, block)
+    with pytest.raises(ValidationError, match="time reversal"):
+        ground_doublet(sectors, spec)
+
+
 def test_encoding_is_deterministic_bit_for_bit():
     # x = 5 takes the Lanczos branch for its +-1/2 sectors
     for x in (3, 5):
@@ -213,17 +229,47 @@ def test_matrix_elements_match_direct_sandwiches():
         assert abs(np.vdot(enc.ket0, tz @ enc.ket0) - elems.z00[m]) < 1e-12
 
 
-def test_on_site_matches_kron_for_a_non_symmetric_matrix():
-    # the library only applies symmetric factors (and antisymmetric i tau_y
-    # in pairs), where a transposed contraction would go unnoticed
-    dims = (2, 4, 3)
+def test_ladder_table_matches_kron_sandwiches():
+    # random complex kets in the -1/2 and +1/2 sectors: x10 is not real, so
+    # swapped kets (its conjugate) or a dropped conjugate both show; the
+    # spin-0 sites give empty table segments, one of them the last
     rng = np.random.default_rng(3)
-    states = rng.normal(size=(24, 5)) + 1j * rng.normal(size=(24, 5))
-    for site, d in enumerate(dims):
-        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        reference = site_operator(op, site, dims) @ states
-        assert np.abs(_on_site(op, site, states, dims) - reference).max() < 1e-13
-        assert np.abs(_on_site(op, site, states[:, 0], dims) - reference[:, 0]).max() < 1e-13
+    for spec in (
+        RingSpec.cr_ni(3),
+        RingSpec((1.5, 0.0, 2.0, 0.0), (1.0,) * 4, (0.0,) * 4),
+        RingSpec((0.5,), (0.0,), (0.0,)),
+    ):
+        dims = spec.site_dims
+        sz = np.diag(sum(site_operator(spin_operators(s)[2], k, dims) for k, s in enumerate(spec.sites))).real
+        kets = np.zeros((2, spec.dim), dtype=np.complex128)
+        for ket, two_m in zip(kets, (-1, 1)):
+            where = np.flatnonzero(2 * sz == two_m)
+            ket[where] = rng.normal(size=where.size) + 1j * rng.normal(size=where.size)
+        enc = QubitEncoding(ket0=kets[0], ket1=kets[1], gap=np.inf, sz0=-0.5, sz1=0.5)
+        x10 = doublet_matrix_elements(enc, spec).x10
+        for k, s in enumerate(spec.sites):
+            tau_x = spin_operators(s)[0]
+            reference = np.vdot(kets[1], site_operator(tau_x, k, dims) @ kets[0])
+            assert abs(x10[k] - reference) <= 1e-13 * max(abs(reference), 1.0)
+        # site 1's largest |tau_x| entry, regauge's scale, is in the table
+        starts, _, _, half_roots = _sector_layout(spec.sites).ladder
+        largest = np.abs(spin_operators(spec.sites[0])[0]).max()
+        assert half_roots[starts[0] : starts[1]].max(initial=0.0) == largest
+
+
+def test_kets_outside_the_doublet_sectors_are_refused():
+    spec = RingSpec.cr_ni(1)
+    enc, _ = ring_qubit_encoding(spec)
+    stray = np.zeros(spec.dim)
+    stray[0] = 1e-9  # product state 0 has every m maximal: S_z = 2
+    for bad in (replace(enc, ket0=enc.ket0 + stray), replace(enc, ket1=enc.ket1 + stray)):
+        with pytest.raises(ValidationError, match="sectors"):
+            doublet_matrix_elements(bad, spec)
+        with pytest.raises(ValidationError, match="sectors"):
+            regauge(bad, spec)
+    # an integer-spin ring has no doublet sectors at all
+    with pytest.raises(ValidationError, match="sectors"):
+        doublet_matrix_elements(enc, RingSpec.cr_ni(2))
 
 
 @st.composite
@@ -257,9 +303,18 @@ def test_property_ring_operators_match_kron_reference(spec, seed):
     assert np.array_equal(total_sz_operator(spec), sz_reference)
 
     # the matrix elements are sandwiches of single-site operators, so any
-    # pair of unit kets tests them; no ground doublet is needed
+    # pair of unit kets in the -1/2 and +1/2 sectors tests them (the only
+    # kets an encoding holds); no ground doublet is needed
     rng = np.random.default_rng(seed)
     kets = rng.normal(size=(2, spec.dim)) + 1j * rng.normal(size=(2, spec.dim))
+    kets[0, 2 * np.diag(sz_reference).real != -1] = 0.0
+    kets[1, 2 * np.diag(sz_reference).real != 1] = 0.0
+    if not kets.any():  # integer total spin: no such sectors, any ket is refused
+        full = np.ones(spec.dim)
+        enc = QubitEncoding(ket0=full, ket1=full, gap=np.inf, sz0=-0.5, sz1=0.5)
+        with pytest.raises(ValidationError, match="sectors"):
+            doublet_matrix_elements(enc, spec)
+        return
     kets /= np.linalg.norm(kets, axis=1, keepdims=True)
     enc = QubitEncoding(ket0=kets[0], ket1=kets[1], gap=np.inf, sz0=-0.5, sz1=0.5)
     elems = doublet_matrix_elements(enc, spec)
@@ -339,6 +394,27 @@ def test_property_cached_layout_gives_direct_blocks_bit_for_bit(pair):
             idx[0] = 0  # the cached index tables are read-only
 
 
+@settings(max_examples=40, deadline=None)
+@given(random_rings())
+@example(RingSpec(sites=(1.5,), bond_couplings=(-3.0,), crystal_fields=(0.7,)))
+@example(RingSpec(sites=(2.0,), bond_couplings=(1.0,), crystal_fields=(-0.2,)))
+@example(RingSpec((1.5, 1.0), bond_couplings=(2.0, -0.5), crystal_fields=(0.3, -1.1)))
+@example(RingSpec((0.5, 0.5), bond_couplings=(1.0, 1.0), crystal_fields=(0.0, 0.0)))
+@example(RingSpec.cr_ni(5, exchange=-9.0, ratio=1.3, crystal_field=-0.8))
+def test_property_sector_minus_m_is_the_spin_flip_of_plus_m(spec):
+    # m -> -m sends product index i to dim-1-i: each -M sector is the +M
+    # sector reversed, indices and block, bit for bit (ground_doublet relies
+    # on it for -1/2 and refuses blocks that break it)
+    sectors = build_ring_hamiltonian(spec)
+    assert sorted(sectors) == sorted(-key for key in sectors)
+    for key, (idx, block) in sectors.items():
+        flip_idx, flip_block = sectors[-key]
+        assert np.array_equal(flip_idx, (spec.dim - 1 - idx)[::-1])
+        if not isinstance(block, np.ndarray):
+            block, flip_block = block.toarray(), flip_block.toarray()
+        assert np.array_equal(flip_block, block[::-1, ::-1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_rings())
 @example(RingSpec.cr_ni(3))
@@ -357,9 +433,9 @@ def test_property_gershgorin_skip_never_moves_the_gap(spec):
     assert ground_doublet(sectors, spec).gap == gap
 
 
-def test_default_x3_encoding_diagonalises_three_sectors(monkeypatch):
-    # 2M = +1, -1 and 3: the Gershgorin floors of 2M = 5, 7, 9 and 11 lie
-    # above the 2M = 3 level, so those four sectors are skipped
+def test_default_x3_encoding_diagonalises_two_sectors(monkeypatch):
+    # 2M = +1 and 3: -1 is the spin flip of +1, and the Gershgorin floors of
+    # 2M = 5, 7, 9 and 11 lie above the 2M = 3 level, so they are skipped
     sizes = []
 
     def counting(matrix):
@@ -368,7 +444,7 @@ def test_default_x3_encoding_diagonalises_three_sectors(monkeypatch):
 
     monkeypatch.setattr(rings, "hermitian_eigendecompose", counting)
     enc, _ = ring_qubit_encoding(RingSpec.cr_ni(3))
-    assert len(sizes) == 3
+    assert sizes == [34, 28]
     assert abs(enc.gap - 24.72156756852044) < 1e-8
 
 

@@ -8,7 +8,8 @@ each of the seven commands, and writes OUT.json: per run, the exit code and
 the sha256 of each CSV it wrote, with the CSV text kept (zlib, base64) so a
 later comparison can report numbers.  With --against, prints every run whose
 exit code or bytes differ from BASE.json and, per command, the largest
-absolute change in a numeric cell.  --root picks the checkout whose `src/`,
+absolute and the largest relative change in a numeric cell (relative to the
+BASE.json value, zero cells skipped).  --root picks the checkout whose `src/`,
 `configs/` and `perfbench/` are used (default: this one), so a parent
 commit's outputs can be recorded with the same script.
 """
@@ -83,22 +84,26 @@ def _cells(entry: dict) -> list[list[str]]:
     return [line.split(",") for line in text.splitlines()]
 
 
-def largest_change(old: dict, new: dict) -> float:
-    """Largest absolute difference between numeric cells at the same place;
-    inf when the tables differ in shape or in a non-numeric cell."""
+def largest_change(old: dict, new: dict) -> tuple[float, float]:
+    """Largest absolute and largest relative (|change| / |old|, cells where
+    old is zero skipped) difference between numeric cells at the same place;
+    both inf when the tables differ in shape or in a non-numeric cell."""
     a, b = _cells(old), _cells(new)
     if [len(r) for r in a] != [len(r) for r in b]:
-        return math.inf
-    worst = 0.0
+        return math.inf, math.inf
+    worst, worst_rel = 0.0, 0.0
     for row_a, row_b in zip(a, b):
         for x, y in zip(row_a, row_b):
             if x == y:
                 continue
             try:
-                worst = max(worst, abs(float(x) - float(y)))
+                change = abs(float(x) - float(y))
             except ValueError:
-                return math.inf
-    return worst
+                return math.inf, math.inf
+            worst = max(worst, change)
+            if float(x) != 0.0:
+                worst_rel = max(worst_rel, change / abs(float(x)))
+    return worst, worst_rel
 
 
 def compare(base: dict, current: dict) -> int:
@@ -118,15 +123,16 @@ def compare(base: dict, current: dict) -> int:
             if o is None or n is None:
                 notes.append(f"{name} {'added' if o is None else 'missing'}")
             elif o["sha256"] != n["sha256"]:
-                delta = largest_change(o, n)
-                worst[new["command"]] = max(worst.get(new["command"], 0.0), delta)
-                notes.append(f"{name} max |change| {delta:.2g}")
+                delta, rel = largest_change(o, n)
+                top = worst.get(new["command"], (0.0, 0.0))
+                worst[new["command"]] = (max(top[0], delta), max(top[1], rel))
+                notes.append(f"{name} max |change| {delta:.2g} (relative {rel:.2g})")
         if notes:
             changed += 1
             print(f"{run_id} [{new['command']}]: " + "; ".join(notes))
     print(f"{changed} of {len(current)} runs differ")
-    for command, delta in sorted(worst.items()):
-        print(f"  {command}: largest absolute change {delta:.2g}")
+    for command, (delta, rel) in sorted(worst.items()):
+        print(f"  {command}: largest absolute change {delta:.2g}, relative {rel:.2g}")
     return changed
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ringstar import evolve_subspace, fidelity_curve, make_transfer_program
+from ringstar import fidelity_curve, make_transfer_program, propagate
 
 
 def main():
@@ -35,7 +35,7 @@ def main():
 
     initial = np.zeros(net.dim, dtype=complex)
     initial[:2] = [math.sin(alpha), math.cos(alpha)]
-    out = evolve_subspace(net, initial, program.t_transfer)
+    (out,) = propagate(net, initial, [program.t_transfer])
     print("\namplitude magnitudes at t_T:", np.round(np.abs(out), 6))
     print("the pattern sits on sites 3, 4; site 5 never acquires population")
 

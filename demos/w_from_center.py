@@ -12,9 +12,9 @@ import numpy as np
 
 from ringstar import (
     basis_state,
-    evolve_subspace,
     generation_error,
     plan_w_from_center,
+    propagate,
     uniform_star,
 )
 
@@ -30,9 +30,8 @@ def main():
 
     start = basis_state(network, n + 1)
     print("     t      sites 1..N population      center    E_r")
-    for frac in np.linspace(0.0, 2.0, 9):
-        t = frac * plan.t_w
-        state = evolve_subspace(network, start, t)
+    times = np.linspace(0.0, 2.0, 9) * plan.t_w
+    for t, state in zip(times, propagate(network, start, times)):
         pops = np.abs(state[:n]) ** 2
         center = abs(state[n]) ** 2
         print(

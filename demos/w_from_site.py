@@ -15,9 +15,9 @@ import numpy as np
 from ringstar import (
     apply_phase_correction,
     basis_state,
-    evolve_subspace,
     generation_error,
     plan_w_from_site,
+    propagate,
 )
 
 
@@ -28,7 +28,7 @@ def show(plan):
     print(f"  anisotropies    = {np.round(net.deltas, 6)}")
     print(f"  t_W = {plan.t_w:.9f}, chi = {plan.chi:.9f}")
 
-    out = evolve_subspace(net, basis_state(net, plan.source), plan.t_w)
+    (out,) = propagate(net, basis_state(net, plan.source), [plan.t_w])
     raw = generation_error(out)
     corrected = generation_error(apply_phase_correction(out, plan.source, plan.chi))
     pops = np.abs(out[: net.n_sites]) ** 2

@@ -13,6 +13,7 @@ The overall proportionality of gamma is taken as one; `scale` rescales it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -83,14 +84,6 @@ def effective_coupling(
     return EffectivePair(gamma=gamma, delta=delta)
 
 
-def _encode_cached(
-    cache: dict, spec: RingSpec, dim_cap: int
-) -> tuple:
-    if spec not in cache:
-        cache[spec] = ring_qubit_encoding(spec, dim_cap=dim_cap)
-    return cache[spec]
-
-
 def ring_pair_coupling(
     ring_spec: RingSpec,
     central_spec: RingSpec,
@@ -103,9 +96,9 @@ def ring_pair_coupling(
     Returns the effective pair and the smaller of the two doublet gaps (the
     one that limits the validity of the two-level reduction).
     """
-    cache: dict = {}
-    enc_r, elems_r = _encode_cached(cache, ring_spec, dim_cap)
-    enc_c, elems_c = _encode_cached(cache, central_spec, dim_cap)
+    encode = functools.cache(functools.partial(ring_qubit_encoding, dim_cap=dim_cap))
+    enc_r, elems_r = encode(ring_spec)
+    enc_c, elems_c = encode(central_spec)
     pair = effective_coupling(elems_r, elems_c, linkers, scale=scale)
     return pair, min(enc_r.gap, enc_c.gap)
 
@@ -122,25 +115,25 @@ def star_from_rings(
         raise ValidationError("need at least one outer ring")
     if len(linkers) != len(rings):
         raise ValidationError("need one linker list per outer ring")
-    cache: dict = {}
-    _, elems_c = _encode_cached(cache, central, dim_cap)
-    gammas = []
-    deltas = []
-    for spec, links in zip(rings, linkers):
-        _, elems_r = _encode_cached(cache, spec, dim_cap)
-        pair = effective_coupling(elems_r, elems_c, links, scale=scale)
-        gammas.append(pair.gamma)
-        deltas.append(pair.delta)
-    return StarNetwork(gammas=np.array(gammas), deltas=np.array(deltas))
+    encode = functools.cache(functools.partial(ring_qubit_encoding, dim_cap=dim_cap))
+    _, elems_c = encode(central)
+    pairs = [
+        effective_coupling(encode(spec)[1], elems_c, links, scale=scale)
+        for spec, links in zip(rings, linkers)
+    ]
+    return StarNetwork(
+        gammas=np.array([p.gamma for p in pairs]),
+        deltas=np.array([p.delta for p in pairs]),
+    )
 
 
 @dataclass(frozen=True)
 class SweepRow:
     """One anisotropy-sweep grid point; unused parameters stay None.
 
-    status is "ok" when the pipeline succeeded, otherwise a short label for
-    the failure mode ("no-doublet", "divergent"); failed rows keep their
-    grid coordinates so nothing is silently dropped.
+    status is "ok", "no-doublet" (the ring has no isolated ground doublet, so
+    no gap) or "divergent" (the transverse sum vanishes; the gap is kept).
+    Failed rows keep their grid coordinates so nothing is silently dropped.
     """
 
     a: float | None
@@ -150,6 +143,26 @@ class SweepRow:
     delta: float | None
     gap: float | None
     status: str
+
+
+def _sweep_rows(
+    spec: RingSpec, a: float, d: float, b_links: Iterable, scale: float, dim_cap: int
+) -> list[SweepRow]:
+    """Rows of `spec` coupled to itself, one per (b, linkers), from one encoding:
+    a missing doublet fails every row, a vanishing transverse sum only its own."""
+    try:
+        enc, elems = ring_qubit_encoding(spec, dim_cap=dim_cap)
+    except GroundDoubletError:
+        return [SweepRow(a, d, b, None, None, None, "no-doublet") for b, _ in b_links]
+    rows = []
+    for b, links in b_links:
+        try:
+            pair = effective_coupling(elems, elems, links, scale=scale)
+        except AnisotropyDivergenceError:
+            rows.append(SweepRow(a, d, b, None, None, enc.gap, "divergent"))
+        else:
+            rows.append(SweepRow(a, d, b, pair.gamma, pair.delta, enc.gap, "ok"))
+    return rows
 
 
 def sweep_anisotropy_ad(
@@ -177,24 +190,8 @@ def sweep_anisotropy_ad(
                 crystal_field=float(d),
                 symmetric_substitute_bonds=symmetric_substitute_bonds,
             )
-            try:
-                pair, gap = ring_pair_coupling(
-                    spec, spec, linkers, scale=scale, dim_cap=dim_cap
-                )
-            except GroundDoubletError:
-                rows.append(
-                    SweepRow(float(a), float(d), None, None, None, None, "no-doublet")
-                )
-                continue
-            except AnisotropyDivergenceError:
-                rows.append(
-                    SweepRow(float(a), float(d), None, None, None, None, "divergent")
-                )
-                continue
-            rows.append(
-                SweepRow(
-                    float(a), float(d), None, pair.gamma, pair.delta, gap, "ok"
-                )
+            rows += _sweep_rows(
+                spec, float(a), float(d), [(None, linkers)], scale, dim_cap
             )
     return rows
 
@@ -207,14 +204,9 @@ def _b_path(
     reference: Linker,
     tuned_sites: tuple[int, int] | None,
     symmetric_substitute_bonds: bool,
-    dim_cap: int,
-) -> tuple:
-    """Encode the ring shared by both sides of a b sweep; return it with the
-    link rule b -> [reference, tuned linker of strength b * reference].
-
-    The tuned linker joins tuned_sites, by default the substituted site x + 1
-    of both rings.
-    """
+) -> tuple[RingSpec, Callable[[float], list[Linker]]]:
+    """The ring shared by both sides of a b sweep, and the link rule b ->
+    [reference, linker on tuned_sites (default x + 1, x + 1) of b * reference]."""
     spec = RingSpec.cr_ni(
         x,
         exchange=exchange,
@@ -222,13 +214,12 @@ def _b_path(
         crystal_field=d,
         symmetric_substitute_bonds=symmetric_substitute_bonds,
     )
-    enc, elems = ring_qubit_encoding(spec, dim_cap=dim_cap)
     m, n = (x + 1, x + 1) if tuned_sites is None else tuned_sites
 
     def links(b: float) -> list[Linker]:
         return [reference, Linker(m, n, float(b) * reference.strength)]
 
-    return enc, elems, links
+    return spec, links
 
 
 def b_sweep_evaluator(
@@ -248,9 +239,10 @@ def b_sweep_evaluator(
     the substituted site x + 1 of both rings), so b = J_tuned / J_reference.
     The underlying ring pair is diagonalized once.
     """
-    _, elems, links = _b_path(
-        x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds, dim_cap
+    spec, links = _b_path(
+        x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds
     )
+    _, elems = ring_qubit_encoding(spec, dim_cap=dim_cap)
 
     def evaluate(b: float) -> EffectivePair:
         return effective_coupling(elems, elems, links(b), scale=scale)
@@ -271,30 +263,11 @@ def sweep_anisotropy_b(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> list[SweepRow]:
     """Effective (gamma, Delta) against the two-linker strength ratio b."""
-    try:
-        enc, elems, links = _b_path(
-            x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds, dim_cap
-        )
-    except GroundDoubletError:
-        return [
-            SweepRow(float(a), float(d), float(b), None, None, None, "no-doublet")
-            for b in b_values
-        ]
-    rows = []
-    for b in b_values:
-        try:
-            pair = effective_coupling(elems, elems, links(b), scale=scale)
-        except AnisotropyDivergenceError:
-            rows.append(
-                SweepRow(float(a), float(d), float(b), None, None, enc.gap, "divergent")
-            )
-            continue
-        rows.append(
-            SweepRow(
-                float(a), float(d), float(b), pair.gamma, pair.delta, enc.gap, "ok"
-            )
-        )
-    return rows
+    spec, links = _b_path(
+        x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds
+    )
+    b_links = ((float(b), links(b)) for b in b_values)
+    return _sweep_rows(spec, float(a), float(d), b_links, scale, dim_cap)
 
 
 @dataclass(frozen=True)

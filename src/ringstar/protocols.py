@@ -149,6 +149,11 @@ def _population_ratio(theta1, n: int, branch: str):
     return (1.0 - n * cos_t + sign * root) / (n - 1) ** 2, disc
 
 
+def _require_branch(branch: str) -> None:
+    if branch not in ("plus", "minus"):
+        raise ValidationError(f"branch must be 'plus' or 'minus', got {branch!r}")
+
+
 def equal_population_ratio(theta1: float, n_sites: int, branch: str = "plus") -> float:
     """Coupling ratio p equalizing source and passive populations.
 
@@ -158,8 +163,7 @@ def equal_population_ratio(theta1: float, n_sites: int, branch: str = "plus") ->
     """
     if n_sites < 2:
         raise ValidationError("population matching needs at least two sites")
-    if branch not in ("plus", "minus"):
-        raise ValidationError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    _require_branch(branch)
     p, disc = _population_ratio(theta1, n_sites, branch)
     if disc < -1e-12:
         raise InfeasibleError(
@@ -261,6 +265,7 @@ def plan_w_from_site(
     every other site, and anisotropies chosen so each product
     gamma (1 + Delta) equals `constraint`.
     """
+    _require_branch(branch)
     if n_sites < 2:
         raise ValidationError("site-sourced generation needs at least two sites")
     if not 1 <= source <= n_sites:

@@ -295,3 +295,44 @@ def test_ad_sweep_delta_monotone_in_d_near_uniform_ring():
     assert all(row.status == "ok" for row in rows)
     diffs = np.diff(deltas)
     assert np.all(diffs > 0) or np.all(diffs < 0)
+
+
+def test_ad_sweep_row_statuses():
+    # x = 2 gives an integer total spin, so the ring has no Kramers doublet
+    (row,) = sweep_anisotropy_ad([0.9], [0.3], [Linker(1, 2, 1.0)], x=2)
+    assert (row.a, row.d, row.b) == (0.9, 0.3, None)
+    assert row.status == "no-doublet"
+    assert row.gamma is None and row.delta is None and row.gap is None
+    # cancelling linkers: the transverse sum vanishes, but the ring is fine
+    cancelling = [Linker(1, 2, 1.0), Linker(1, 2, -1.0)]
+    (row,) = sweep_anisotropy_ad([0.9], [0.3], cancelling, x=3)
+    assert row.status == "divergent"
+    assert row.gamma is None and row.delta is None
+    assert row.gap == ring_qubit_encoding(RingSpec.cr_ni(3))[0].gap
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """The specs `ringstar.coupling` encodes, in call order."""
+    specs = []
+
+    def counting(spec, dim_cap):
+        specs.append(spec)
+        return ring_qubit_encoding(spec, dim_cap=dim_cap)
+
+    monkeypatch.setattr("ringstar.coupling.ring_qubit_encoding", counting)
+    return specs
+
+
+def test_ring_pair_coupling_encodes_a_shared_ring_once(encoded):
+    spec = RingSpec.cr_ni(3)
+    ring_pair_coupling(spec, spec, [Linker(1, 2, 1.0)])
+    assert encoded == [spec]
+
+
+def test_star_from_rings_encodes_each_distinct_ring_once(encoded):
+    central, ring = RingSpec.cr_ni(3), RingSpec.cr_ni(1)
+    links = [Linker(1, 2, 1.0)]
+    star = star_from_rings(central, [ring, ring, central], [links] * 3)
+    assert encoded == [central, ring]
+    assert star.gammas[0] == star.gammas[1]

@@ -259,6 +259,17 @@ def test_site_plan_validation():
         plan_w_from_site(3, 1, 0.0, 1.0, winding=0)
 
 
+@pytest.mark.parametrize("constraint", [0.0, 0.5])
+def test_site_plan_and_fluctuation_sweep_reject_an_unknown_branch(constraint):
+    # at C != 0 the ratio comes from the self-consistent solve, which never
+    # reaches equal_population_ratio's check
+    message = "branch must be 'plus' or 'minus', got 'bogus'"
+    with pytest.raises(ValidationError, match=message):
+        plan_w_from_site(5, 2, constraint, 1.0, branch="bogus")
+    with pytest.raises(ValidationError, match=message):
+        fluctuation_sweep([0.0], constraint=constraint, branch="bogus")
+
+
 def test_fluctuation_sweep_baseline():
     deltas = [-0.1, 0.0, 0.1]
     rows = fluctuation_sweep(deltas)

@@ -9,7 +9,9 @@ the sha256 of each CSV it wrote, with the CSV text kept (zlib, base64) so a
 later comparison can report numbers.  With --against, prints every run whose
 exit code or bytes differ from BASE.json and, per command, the largest
 absolute and the largest relative change in a numeric cell (relative to the
-BASE.json value, zero cells skipped).  --root picks the checkout whose `src/`,
+BASE.json value; a cell whose base magnitude is below 1e-9 of the largest in
+its column counts only in the absolute figure, so rounding noise around zero
+does not set the relative one).  --root picks the checkout whose `src/`,
 `configs/` and `perfbench/` are used (default: this one), so a parent
 commit's outputs can be recorded with the same script.
 """
@@ -29,6 +31,7 @@ import tempfile
 import zlib
 
 SEEDS = (1, 2, 3)
+RELATIVE_FLOOR = 1e-9
 COMMANDS = ("spectrum", "evolve", "wgen", "sweep-fluct", "transfer", "sweep-aniso",
             "validate")
 
@@ -51,6 +54,11 @@ def runs(root: str):
 
 
 def record(root: str) -> dict:
+    # one BLAS thread, as in the benchmark: a threaded BLAS sums in an order
+    # that varies between runs, so two recordings of one checkout would differ
+    # (star `evolve` CSVs by about 1e-14).  Must be set before numpy loads.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     sys.path.insert(0, os.path.join(root, "src"))
     import ringstar.cli
 
@@ -84,16 +92,29 @@ def _cells(entry: dict) -> list[list[str]]:
     return [line.split(",") for line in text.splitlines()]
 
 
+def _column_scales(rows: list[list[str]]) -> dict[int, float]:
+    """Largest magnitude of a numeric cell in each column."""
+    scales: dict[int, float] = {}
+    for row in rows:
+        for j, x in enumerate(row):
+            with contextlib.suppress(ValueError):
+                scales[j] = max(scales.get(j, 0.0), abs(float(x)))
+    return scales
+
+
 def largest_change(old: dict, new: dict) -> tuple[float, float]:
-    """Largest absolute and largest relative (|change| / |old|, cells where
-    old is zero skipped) difference between numeric cells at the same place;
-    both inf when the tables differ in shape or in a non-numeric cell."""
+    """Largest absolute and largest relative (|change| / |old|) difference
+    between numeric cells at the same place; the relative figure skips cells
+    whose |old| is below RELATIVE_FLOOR of the largest |old| in their column
+    (zero cells among them).  Both inf when the tables differ in shape or in a
+    non-numeric cell."""
     a, b = _cells(old), _cells(new)
     if [len(r) for r in a] != [len(r) for r in b]:
         return math.inf, math.inf
+    scales = _column_scales(a)
     worst, worst_rel = 0.0, 0.0
     for row_a, row_b in zip(a, b):
-        for x, y in zip(row_a, row_b):
+        for j, (x, y) in enumerate(zip(row_a, row_b)):
             if x == y:
                 continue
             try:
@@ -101,7 +122,7 @@ def largest_change(old: dict, new: dict) -> tuple[float, float]:
             except ValueError:
                 return math.inf, math.inf
             worst = max(worst, change)
-            if float(x) != 0.0:
+            if abs(float(x)) > RELATIVE_FLOOR * scales[j]:
                 worst_rel = max(worst_rel, change / abs(float(x)))
     return worst, worst_rel
 

@@ -23,17 +23,6 @@ from .errors import ConfigError, ValidationError
 from .rings import DEFAULT_DIM_CAP, RingSpec
 from .star import StarNetwork, as_subspace_state, basis_state
 
-TOP_LEVEL_KEYS = {
-    "mode",
-    "effective",
-    "microscopic",
-    "protocol",
-    "grids",
-    "sweep",
-    "z_convention",
-    "coupling_scale",
-    "dim_cap",
-}
 _REQUIRED = object()
 _KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
           list: "a list", dict: "a JSON object"}
@@ -345,6 +334,7 @@ SECTION_KEYS = {
     "grids": {"time", "delta"},
     "sweep": _SWEEP_SHARED.union(*_SWEEP_KEYS.values()),
 }
+TOP_LEVEL_KEYS = {"mode", "z_convention", "coupling_scale", "dim_cap", *SECTION_KEYS}
 
 
 def sweep_section(cfg: dict) -> dict:

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import InfeasibleError, ValidationError
 from .star import (
     StarNetwork,
+    basis_state,
     closed_form_from_center,
     closed_form_from_site,
     evolve_subspace,
@@ -54,15 +55,6 @@ FLUCTUATION_BRANCH = "minus"
 MAX_WINDING_SEARCH = 64
 # coarse time-grid points that bracket the first transfer peak before refinement
 TRANSFER_SCAN_POINTS = 4097
-
-
-def w_state(n_sites: int) -> np.ndarray:
-    """Uniform superposition over the N outer sites (center empty)."""
-    if n_sites < 1:
-        raise ValidationError("need at least one site")
-    v = np.zeros(n_sites + 1, dtype=np.complex128)
-    v[:n_sites] = 1.0 / math.sqrt(n_sites)
-    return v
 
 
 def generation_error(state) -> float:
@@ -188,7 +180,8 @@ def _solve_ratio(
         return np.where(disc < -1e-12, np.nan, p - ratio)
 
     if constraint == 0.0:
-        # theta_1 = -k pi independently of p: the ratio is explicit
+        # theta_1 = -k pi independently of p: the ratio is explicit, and the only
+        # route for N >~ 10^6, where p ~ 1/N falls below the grid's 1e-6 floor
         theta1 = -winding * math.pi
         p = equal_population_ratio(theta1, n, branch)
         if not p > 0.0:
@@ -220,8 +213,6 @@ def _site_plan_at_winding(
     branch: str,
 ) -> WGenerationPlan:
     p = _solve_ratio(n_sites, constraint, gamma_source, winding, branch)
-    if not p > 0.0:
-        raise InfeasibleError(f"coupling ratio {p:.6g} is not positive")
     gammas = np.full(n_sites, math.sqrt(p) * gamma_source)
     gammas[source - 1] = gamma_source
     deltas = constraint / gammas - 1.0
@@ -300,31 +291,23 @@ def fluctuation_sweep(
     """Generation error of the three-site, site-sourced W protocol when the
     source's diagonal product drifts to C(1+delta).
 
-    The baseline plan uses source site 3 with the two passive couplings
-    normalized to one.  Each fluctuated run keeps the baseline time and
-    phase correction and rebuilds the star Hamiltonian with the drifted
-    product, so only the diagonal entries move.
+    The baseline is the plan `plan_w_from_site(3, 3, constraint, 1.0)`
+    reports.  Each fluctuated run keeps that plan's couplings, time and phase
+    correction and moves only the source's anisotropy, so only the diagonal
+    entries of the star Hamiltonian move.
     """
     plan = plan_w_from_site(3, 3, constraint, 1.0, winding=winding, branch=branch)
-    # rescale so gamma_1 = gamma_2 = 1 (C and t_W rescale with the couplings)
-    s = 1.0 / float(plan.network.gammas[0])
-    gammas = plan.network.gammas * s
-    c0 = constraint * s
-    t_w = plan.t_w / s
-    base_deltas = c0 / gammas - 1.0
-    start = np.zeros(4, dtype=np.complex128)
-    start[2] = 1.0
+    gammas = plan.network.gammas
+    start = basis_state(plan.network, 3)
     rows = []
     for frac in delta_values:
         frac = float(frac)
         if not -1.0 < frac < 1.0:
             raise ValidationError(f"fractional fluctuation {frac} outside (-1, 1)")
-        deltas = base_deltas.copy()
-        deltas[2] = c0 * (1.0 + frac) / gammas[2] - 1.0
-        network = StarNetwork(gammas=gammas, deltas=deltas)
-        out = evolve_subspace(network, start, t_w)
-        corrected = apply_phase_correction(out, 3, plan.chi)
-        rows.append((frac, generation_error(corrected)))
+        deltas = plan.network.deltas.copy()
+        deltas[2] = constraint * (1.0 + frac) / gammas[2] - 1.0
+        out = evolve_subspace(StarNetwork(gammas=gammas, deltas=deltas), start, plan.t_w)
+        rows.append((frac, generation_error(apply_phase_correction(out, 3, plan.chi))))
     return rows
 
 

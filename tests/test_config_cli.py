@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import ringstar
 from ringstar import cli
 from ringstar.config import (
+    TOP_LEVEL_KEYS,
     dim_cap_from_config,
     initial_state_from_config,
     load_config,
@@ -57,6 +58,10 @@ def test_load_config_errors(tmp_path):
     unknown = write_json(tmp_path / "u.json", {"mode": "effective", "extra": 1})
     with pytest.raises(ConfigError):
         load_config(unknown)
+    assert TOP_LEVEL_KEYS == {
+        "mode", "effective", "microscopic", "protocol", "grids", "sweep",
+        "z_convention", "coupling_scale", "dim_cap",
+    }
 
 
 def test_parse_grid_forms():

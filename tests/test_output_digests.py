@@ -1,4 +1,5 @@
-"""`tools/output_digests.py` reports the largest change between two CSVs.
+"""`tools/output_digests.py` lists every run, reports the largest change
+between two CSVs, and exits 1 when a comparison finds a difference.
 
 The tool is loaded from its file, as a script would run it.
 """
@@ -6,12 +7,14 @@ from __future__ import annotations
 
 import base64
 import importlib.util
+import json
 import zlib
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "output_digests.py"
 
 
 def _load_tool():
@@ -42,3 +45,25 @@ def test_a_real_relative_change_in_a_large_cell_is_reported():
     worst, worst_rel = tool.largest_change(old, new)
     assert worst == pytest.approx(1e-4)
     assert worst_rel == pytest.approx(1e-10, rel=1e-3)
+
+
+def test_the_run_list_holds_the_benchmark_transitions_jobs():
+    ids = [run_id for run_id, command, _ in _load_tool().runs(str(ROOT))
+           if command == "transitions"]
+    assert len(ids) == len(set(ids)) == 18
+
+
+def test_a_comparison_exits_1_when_a_run_differs_or_is_missing(tmp_path, monkeypatch):
+    tool = _load_tool()
+    base = {"seed1/star-protocols-000": {"command": "wgen", "exit": 0, "outputs": {
+        "out.csv": dict(_entry(["k,a", "0,0.5"]), sha256="aa")}}}
+    base_path = tmp_path / "base.json"
+    base_path.write_text(json.dumps(base), encoding="utf-8")
+    current = json.loads(json.dumps(base))
+    monkeypatch.setattr(tool, "record", lambda root: current)  # runs no job
+    argv = [str(tmp_path / "out.json"), "--against", str(base_path)]
+    assert tool.main(argv) == 0
+    current["seed1/star-protocols-000"]["outputs"]["out.csv"]["sha256"] = "bb"
+    assert tool.main(argv) == 1
+    current.clear()
+    assert tool.main(argv) == 1

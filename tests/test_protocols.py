@@ -23,7 +23,6 @@ from ringstar.protocols import (
     make_transfer_program,
     plan_w_from_center,
     plan_w_from_site,
-    w_state,
 )
 from ringstar.star import (
     StarNetwork,
@@ -37,18 +36,10 @@ RATIO_PLUS_N3 = (math.sqrt(3.0) + 1.0) ** 2 / 4.0
 RATIO_MINUS_N3 = (math.sqrt(3.0) - 1.0) ** 2 / 4.0
 
 
-def test_w_state_shape():
-    w = w_state(4)
-    assert w.shape == (5,)
-    assert np.allclose(w[:4], 0.5)
-    assert w[4] == 0.0
-    assert abs(np.linalg.norm(w) - 1.0) < 1e-15
-    with pytest.raises(ValidationError):
-        w_state(0)
-
-
 def test_generation_error_extremes():
-    assert generation_error(w_state(5)) == 0.0
+    w = np.zeros(6, dtype=complex)
+    w[:5] = 1.0 / math.sqrt(5.0)  # the W state of five sites, center empty
+    assert generation_error(w) == 0.0
     center_only = np.zeros(4, dtype=complex)
     center_only[3] = 1.0
     assert generation_error(center_only) == 1.0
@@ -180,6 +171,14 @@ def test_property_solve_ratio_matches_scalar_scan(n, constraint, gamma_source, w
     assert abs(got - expected) <= 2.0 * (1e-15 + 8.9e-16 * abs(expected))
 
 
+def test_solve_ratio_at_zero_constraint_reaches_below_the_grid_floor():
+    # p ~ 1/N at N = 10^6 lies below the bracket grid's 1e-6 floor, so only
+    # the explicit C = 0 formula can reach it
+    got = _solve_ratio(10**6, 0.0, 1.0, 1, "minus")
+    assert got == equal_population_ratio(-math.pi, 10**6, "minus")
+    assert 9.9e-7 < got < 1e-6
+
+
 def test_site_plan_transverse_three_sites():
     plan = plan_w_from_site(3, 1, 0.0, 1.0, winding=1, branch="plus")
     assert plan.source == 1
@@ -290,6 +289,65 @@ def test_fluctuation_sweep_monotone_per_side():
     assert np.all(np.diff(left) <= 1e-15)  # decreasing toward zero
     assert np.all(np.diff(right) >= -1e-15)
     assert errs[mid] < 1e-12
+
+
+def test_fluctuation_sweep_evolves_the_plan_it_stresses(monkeypatch):
+    from ringstar import protocols
+
+    plan = plan_w_from_site(
+        3, 3, FLUCTUATION_CONSTRAINT, 1.0,
+        winding=FLUCTUATION_WINDING, branch=FLUCTUATION_BRANCH,
+    )
+    seen = []
+
+    def spy(network, state, time, *args, **kwargs):
+        seen.append((network, time))
+        return evolve_subspace(network, state, time, *args, **kwargs)
+
+    monkeypatch.setattr(protocols, "evolve_subspace", spy)
+    fluctuation_sweep([-0.1, 0.0, 0.05])
+    assert len(seen) == 3
+    for network, time in seen:
+        assert np.array_equal(network.gammas, plan.network.gammas)
+        assert time == plan.t_w
+    assert np.array_equal(seen[1][0].deltas, plan.network.deltas)
+
+
+def rescaled_sweep_reference(delta_values, constraint, winding, branch):
+    """The sweep on the site plan rescaled so both passive couplings are 1
+    (C and t_W rescale with the couplings, so the errors do not change)."""
+    plan = plan_w_from_site(3, 3, constraint, 1.0, winding=winding, branch=branch)
+    s = 1.0 / float(plan.network.gammas[0])
+    gammas = plan.network.gammas * s
+    c0 = constraint * s
+    rows = []
+    for frac in delta_values:
+        deltas = c0 / gammas - 1.0
+        deltas[2] = c0 * (1.0 + frac) / gammas[2] - 1.0
+        h = build_effective_hamiltonian(StarNetwork(gammas=gammas, deltas=deltas))
+        out = scipy.linalg.expm(-1j * h * (plan.t_w / s)) @ np.eye(4)[2]
+        rows.append((frac, generation_error(apply_phase_correction(out, 3, plan.chi))))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "constraint, winding, branch, delta_values",
+    [
+        (FLUCTUATION_CONSTRAINT, FLUCTUATION_WINDING, FLUCTUATION_BRANCH,
+         np.linspace(-0.2, 0.2, 9)),
+        (0.0, 1, "plus", [-0.5, -0.01, 0.0, 0.3]),
+        (0.5, 1, "plus", np.linspace(-0.9, 0.9, 7)),
+        (-0.7, 2, "minus", [-0.25, 0.0, 0.125, 0.6]),
+        (1.5, 3, "plus", np.linspace(-0.4, 0.4, 5)),
+    ],
+)
+def test_fluctuation_sweep_matches_the_rescaled_plan(
+    constraint, winding, branch, delta_values
+):
+    got = fluctuation_sweep(delta_values, constraint, winding, branch)
+    expected = rescaled_sweep_reference(delta_values, constraint, winding, branch)
+    assert [frac for frac, _ in got] == [float(v) for v in delta_values]
+    assert max(abs(a[1] - b[1]) for a, b in zip(got, expected)) <= 1e-13
 
 
 def test_fluctuation_sweep_rejects_large_fluctuations():

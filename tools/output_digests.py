@@ -1,19 +1,22 @@
-"""Record what every benchmark-stream and `configs/` CLI run writes.
+"""Record what every benchmark-stream job and `configs/` CLI run writes.
 
     python3 tools/output_digests.py OUT.json [--against BASE.json] [--root DIR]
 
-Runs, in one process, every CLI job of the benchmark streams for seeds 1-3
+Runs, in one process, every job of the benchmark streams for seeds 1-3
 (`perfbench/streams.py`, imported read-only) and every `configs/*.json` under
 each of the seven commands, and writes OUT.json: per run, the exit code and
 the sha256 of each CSV it wrote, with the CSV text kept (zlib, base64) so a
-later comparison can report numbers.  With --against, prints every run whose
-exit code or bytes differ from BASE.json and, per command, the largest
-absolute and the largest relative change in a numeric cell (relative to the
-BASE.json value; a cell whose base magnitude is below 1e-9 of the largest in
-its column counts only in the absolute figure, so rounding noise around zero
-does not set the relative one).  --root picks the checkout whose `src/`,
-`configs/` and `perfbench/` are used (default: this one), so a parent
-commit's outputs can be recorded with the same script.
+later comparison can report numbers.  A stream's `transitions` jobs call
+`b_sweep_evaluator` and `find_delta_transitions` as the benchmark does, and
+their result is kept as the CSV `b,kind,rising` (floats as %.17g).  With
+--against, prints every run whose exit code or bytes differ from BASE.json
+and, per command, the largest absolute and the largest relative change in a
+numeric cell (relative to the BASE.json value; a cell whose base magnitude
+is below 1e-9 of the largest in its column counts only in the absolute
+figure, so rounding noise around zero does not set the relative one), and
+exits 1 if any run differs or is missing from one side.  --root picks the
+checkout whose `src/`, `configs/` and `perfbench/` are used (default: this
+one), so a parent commit's outputs can be recorded with the same script.
 """
 from __future__ import annotations
 
@@ -37,20 +40,32 @@ COMMANDS = ("spectrum", "evolve", "wgen", "sweep-fluct", "transfer", "sweep-anis
 
 
 def runs(root: str):
-    """(run id, command, config bytes) of every run, in a fixed order."""
+    """(run id, command, config bytes) of every run, in a fixed order; a
+    `transitions` job's config holds its call parameters."""
     sys.path.insert(0, os.path.join(root, "perfbench"))
     from streams import WORKLOADS, config_bytes, make_stream
 
     for seed in SEEDS:
         for workload in WORKLOADS:
             for job in make_stream(workload, seed):
-                if job["kind"] == "cli":
-                    yield f"seed{seed}/{job['id']}", job["command"], config_bytes(job)
+                yield f"seed{seed}/{job['id']}", job["command"], config_bytes(job)
     for path in sorted(glob.glob(os.path.join(root, "configs", "*.json"))):
         with open(path, "rb") as fh:
             config = fh.read()
         for command in COMMANDS:
             yield f"configs/{os.path.basename(path)}/{command}", command, config
+
+
+def transitions_csv(coupling, p: dict) -> bytes:
+    """The Delta transitions of one stream job, called with the keywords the
+    benchmark passes, as CSV text."""
+    evaluate = coupling.b_sweep_evaluator(
+        x=p["x"], exchange=p["exchange"], a=p["a"], d=p["d"],
+        reference=coupling.Linker(**p["reference"]), tuned_sites=tuple(p["tuned_sites"]))
+    found = coupling.find_delta_transitions(
+        evaluate, p["b_start"], p["b_stop"], level=p["level"], points=p["points"])
+    return "".join(["b,kind,rising\n"] + [
+        "%.17g,%s,%s\n" % (t.b, t.kind, t.rising) for t in found]).encode()
 
 
 def record(root: str) -> dict:
@@ -61,6 +76,7 @@ def record(root: str) -> dict:
         os.environ[var] = "1"
     sys.path.insert(0, os.path.join(root, "src"))
     import ringstar.cli
+    import ringstar.coupling
 
     results = {}
     with tempfile.TemporaryDirectory() as work:
@@ -70,10 +86,15 @@ def record(root: str) -> dict:
             cfg_path = os.path.join(rundir, "config.json")
             with open(cfg_path, "wb") as fh:
                 fh.write(config)
-            sink = io.StringIO()
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                code = ringstar.cli.main(
-                    [command, "--config", cfg_path, "--out", os.path.join(rundir, "out.csv")])
+            if command == "transitions":
+                with open(os.path.join(rundir, "transitions.csv"), "wb") as fh:
+                    fh.write(transitions_csv(ringstar.coupling, json.loads(config)))
+                code = 0
+            else:
+                sink = io.StringIO()
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    code = ringstar.cli.main([command, "--config", cfg_path,
+                                              "--out", os.path.join(rundir, "out.csv")])
             outputs = {}
             for name in sorted(os.listdir(rundir)):
                 if name != "config.json":
@@ -169,7 +190,7 @@ def main(argv=None) -> int:
         json.dump(results, fh, indent=1, sort_keys=True)
     if args.against:
         with open(args.against, encoding="utf-8") as fh:
-            compare(json.load(fh), results)
+            return 1 if compare(json.load(fh), results) else 0
     return 0
 
 

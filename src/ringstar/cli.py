@@ -56,22 +56,18 @@ def _amplitude_header(dim: int) -> list[str]:
 def cmd_spectrum(cfg: dict, args) -> list[tuple[str, list, list]]:
     network = cfg_mod.network_from_config(cfg)
     header = ["index", "kind", "value"] + [f"c_{j}" for j in range(1, network.dim + 1)]
-    rows = []
     if network.constraint_holds:
-        system = analytic_eigensystem(network)
+        eig = analytic_eigensystem(network)
         kinds = ["degenerate"] * (network.dim - 2) + ["pair", "pair"]
-        values = system.all_values()
-        vectors = system.all_vectors()
     else:
         eig = hermitian_eigendecompose(build_effective_hamiltonian(network))
         kinds = ["numeric"] * network.dim
-        values = eig.values
-        vectors = eig.vectors
-    for j in range(network.dim):
-        rows.append(
-            (j + 1, kinds[j], float(values[j]))
-            + tuple(float(vectors[i, j].real) for i in range(network.dim))
+    rows = [
+        (j, kind, value, *vector)
+        for j, (kind, value, vector) in enumerate(
+            zip(kinds, eig.values.tolist(), eig.vectors.T.tolist()), start=1
         )
+    ]
     return [(args.out, header, rows)]
 
 
@@ -147,17 +143,16 @@ def cmd_sweep_fluct(cfg: dict, args) -> list[tuple[str, list, list]]:
         winding=args.k if args.k is not None else protocol.get("winding", FLUCTUATION_WINDING),
         branch=args.branch if args.branch else protocol.get("branch", FLUCTUATION_BRANCH),
     )
-    return [(args.out, ["delta", "E_r"], [(float(d), float(e)) for d, e in rows])]
+    return [(args.out, ["delta", "E_r"], rows)]
 
 
 def cmd_transfer(cfg: dict, args) -> list[tuple[str, list, list]]:
     program = make_transfer_program(**cfg_mod.transfer_section(cfg))
     times = cfg_mod.grid_from_config(cfg, "time")
     curve = fidelity_curve(program, times)
-    curve_rows = [
-        (float(t), float(fr), float(ft))
-        for t, fr, ft in zip(curve.times, curve.return_fidelity, curve.target_fidelity)
-    ]
+    curve_rows = np.column_stack(
+        [curve.times, curve.return_fidelity, curve.target_fidelity]
+    ).tolist()
     network = program.network
     program_rows = [
         (
@@ -198,11 +193,7 @@ def cmd_validate(cfg: dict, args) -> list[tuple[str, list, list]]:
     report = cross_validate(
         network, initial, times, z_convention=args.z_convention or convention
     )
-    rows = [
-        (name, float(dev), None if thr is None else float(thr), passed)
-        for name, dev, thr, passed in report.rows()
-    ]
-    return [(args.out, ["check", "max_deviation", "threshold", "pass"], rows)]
+    return [(args.out, ["check", "max_deviation", "threshold", "pass"], report.rows())]
 
 
 COMMANDS = {

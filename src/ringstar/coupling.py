@@ -57,8 +57,8 @@ def effective_coupling(
     """Compress a set of linkers onto the two doublets."""
     if len(linkers) == 0:
         raise ValidationError("need at least one linker")
-    x_sum = 0.0 + 0.0j
-    z_sum = 0.0 + 0.0j
+    x_sum = 0.0
+    z_sum = 0.0
     max_strength = 0.0
     for link in linkers:
         m = link.ring_site - 1
@@ -331,9 +331,6 @@ def find_delta_transitions(
         pole = gammas[j] * gammas[j + 1] < 0.0
         f0, f1 = (gammas if pole else zero_lines)[j : j + 2]
         b_at = grid[j] - f0 * (grid[j + 1] - grid[j]) / (f1 - f0)
-        transitions.append(
-            DeltaTransition(
-                b=float(b_at), kind="pole" if pole else "zero", rising=offsets[j] < 0.0
-            )
-        )
+        kind = "pole" if pole else "zero"
+        transitions.append(DeltaTransition(float(b_at), kind, bool(offsets[j] < 0.0)))
     return transitions

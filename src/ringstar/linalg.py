@@ -28,8 +28,10 @@ def max_entry_norm(matrix: np.ndarray) -> float:
 class EigenSystem:
     """Spectral decomposition of a Hermitian matrix.
 
-    values are real and ascending; vectors[:, k] is the unit eigenvector for
-    values[k], and the columns are mutually orthonormal.
+    values are real; vectors[:, k] is the unit eigenvector for values[k], and
+    the columns are mutually orthonormal.  `hermitian_eigendecompose` returns
+    ascending values; `star.analytic_eigensystem` returns the degenerate level
+    first and the pair last.
     """
 
     values: np.ndarray

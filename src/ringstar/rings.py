@@ -307,14 +307,14 @@ def regauge(encoding: QubitEncoding, spec: RingSpec | None = None) -> QubitEncod
     in the -1/2 and +1/2 sectors) is real non-negative.  Without a spec, or
     when that element vanishes, |1> falls back to the largest-entry rule.
     """
-    ket0 = _canonical_phase(np.asarray(encoding.ket0, dtype=np.complex128))
-    ket1 = np.asarray(encoding.ket1, dtype=np.complex128)
+    ket0 = _canonical_phase(np.asarray(encoding.ket0))
+    ket1 = np.asarray(encoding.ket1)
     if spec is not None:
         x10 = _transverse_elements(ket0, ket1, spec)[0]
         starts, _, _, half_roots = _sector_layout(spec.sites).ladder
         # site 1's largest |tau_x| entry is in its part of the ladder table
         if abs(x10) > 1e-12 * max(half_roots[: starts[1]].max(initial=0.0), 1.0):
-            ket1 = ket1 * np.exp(1j * np.angle(x10))
+            ket1 = ket1 * (x10 / abs(x10))  # exactly +-1 on real kets
             return replace(encoding, ket0=ket0, ket1=ket1)
     return replace(encoding, ket0=ket0, ket1=_canonical_phase(ket1))
 
@@ -407,7 +407,6 @@ def doublet_matrix_elements(
     x10 = _transverse_elements(encoding.ket0, encoding.ket1, spec)
     # tau_z is diagonal in the product basis: <v|tau_{k,z}|v> = sum_i |v_i|^2 m_k(i)
     z00, z11 = np.abs([encoding.ket0, encoding.ket1]) ** 2 @ _sector_layout(spec.sites).m
-    x10, z00, z11 = (np.asarray(v, dtype=np.complex128) for v in (x10, z00, z11))
     return SiteMatrixElements(x10=x10, z00=z00, z11=z11)
 
 

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintError, ValidationError
-from .linalg import hermitian_eigendecompose
+from .linalg import EigenSystem, hermitian_eigendecompose
 
 CONSTRAINT_RTOL = 1e-10
 STATE_NORM_TOL = 1e-10
@@ -121,30 +121,6 @@ def build_effective_hamiltonian(network: StarNetwork) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class AnalyticEigenSystem:
-    """Closed-form eigensystem of a constraint-satisfying star.
-
-    `degenerate` holds N-1 orthonormal columns at the shared eigenvalue
-    `value_degenerate` = C(N-2)/4; `pair_vectors` holds the two remaining
-    eigenvectors (columns) at `value_pair` (ascending).
-    """
-
-    value_degenerate: float
-    degenerate: np.ndarray
-    value_pair: np.ndarray
-    pair_vectors: np.ndarray
-
-    def all_values(self) -> np.ndarray:
-        n_deg = self.degenerate.shape[1]
-        return np.concatenate(
-            [np.full(n_deg, self.value_degenerate), self.value_pair]
-        )
-
-    def all_vectors(self) -> np.ndarray:
-        return np.concatenate([self.degenerate, self.pair_vectors], axis=1)
-
-
 def _require_constraint(network: StarNetwork, what: str) -> float:
     c = network.constraint_value
     if not network.constraint_holds:
@@ -169,13 +145,13 @@ def _pair_eigensystem(network: StarNetwork, c: float) -> tuple[np.ndarray, np.nd
     return values, vectors
 
 
-def analytic_eigensystem(network: StarNetwork) -> AnalyticEigenSystem:
+def analytic_eigensystem(network: StarNetwork) -> EigenSystem:
     """Closed-form spectrum and eigenbasis under the coupling constraint.
 
-    Outer sites with gamma = 0 contribute unit-vector eigenstates; the dark
-    combinations are built over the remaining sites by the usual telescoping
-    construction, and the final two eigenvectors are (gamma_1..gamma_N, y)
-    with y = 2 lambda - C(N-2)/2.
+    Columns 0..N-2 span the degenerate level C(N-2)/4: unit vectors for
+    outer sites with gamma = 0, and the usual telescoped dark combinations
+    over the remaining sites.  The last two columns are the pair, ascending:
+    (gamma_1..gamma_N, y) with y = 2 lambda - C(N-2)/2.
     """
     c = _require_constraint(network, "the analytic eigensystem")
     n = network.n_sites
@@ -185,29 +161,19 @@ def analytic_eigensystem(network: StarNetwork) -> AnalyticEigenSystem:
     active = np.abs(g) > ZERO_COUPLING_RTOL * float(np.abs(g).max())
     if not active.any():
         # fully decoupled network: H is diagonal (and C = 0 by the constraint)
-        eye = np.eye(dim)
-        return AnalyticEigenSystem(
-            value_degenerate=lam_deg,
-            degenerate=eye[:, : n - 1],
-            value_pair=np.array([lam_deg, -n * c / 4.0]),
-            pair_vectors=eye[:, n - 1 :],
-        )
+        return EigenSystem(np.append(np.full(n, lam_deg), -n * c / 4.0), np.eye(dim))
     ga = g[active]
     k = ga.size
     partial = np.cumsum(ga**2)[:-1]  # sum of gamma^2 over the earlier active sites
     telescoped = np.triu(np.outer(ga, ga[1:]))
     telescoped[np.arange(1, k), np.arange(k - 1)] = -partial
     telescoped /= np.sqrt(partial * (partial + ga[1:] ** 2))
-    degenerate = np.zeros((dim, n - 1))
-    degenerate[np.flatnonzero(active), : k - 1] = telescoped
-    degenerate[np.flatnonzero(~active), k - 1 :] = np.eye(n - k)
     lam_pair, pair = _pair_eigensystem(network, c)
-    return AnalyticEigenSystem(
-        value_degenerate=lam_deg,
-        degenerate=degenerate,
-        value_pair=lam_pair,
-        pair_vectors=pair,
-    )
+    vectors = np.zeros((dim, dim))
+    vectors[np.flatnonzero(active), : k - 1] = telescoped
+    vectors[np.flatnonzero(~active), k - 1 : n - 1] = np.eye(n - k)
+    vectors[:, n - 1 :] = pair
+    return EigenSystem(np.append(np.full(n - 1, lam_deg), lam_pair), vectors)
 
 
 def as_subspace_state(state, dim: int) -> np.ndarray:

@@ -85,8 +85,8 @@ def test_criterion_1_spectral_identity():
             numeric = np.linalg.eigvalsh(h)
             worst_value = max(worst_value, float(np.abs(reference - numeric).max()))
             es = analytic_eigensystem(net)
-            v = es.all_vectors()
-            resid = np.abs(h @ v - v * es.all_values()).max()
+            v = es.vectors
+            resid = np.abs(h @ v - v * es.values).max()
             worst_residual = max(worst_residual, float(resid))
     elapsed = time.perf_counter() - start
     ok = worst_value <= 1e-10 and worst_residual <= 1e-9 and elapsed < 10.0

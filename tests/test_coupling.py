@@ -122,6 +122,7 @@ def test_b_transitions_zero_then_pole():
     found = find_delta_transitions(ev, 0.0, 5.0)
     assert [t.kind for t in found] == ["zero", "pole"]
     assert [t.rising for t in found] == [False, True]
+    assert all(type(t.rising) is bool for t in found)
     assert abs(found[0].b - B_ZERO) < 1e-9
     assert abs(found[1].b - B_POLE) < 1e-9
 
@@ -240,6 +241,22 @@ def test_property_transitions_match_brentq_reference(
     assert [(t.kind, t.rising) for t in got] == [w[1:] for w in want]
     for t, (b_ref, _, _) in zip(got, want):
         assert abs(t.b - b_ref) <= 1e-12 * max(1.0, abs(b_ref))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 8: a pole and a zero in one scan cell leave Delta - level "
+    "with one sign at both ends, so the scan reports neither",
+)
+def test_pole_and_zero_sharing_a_scan_cell_are_both_reported():
+    ev = b_sweep_evaluator(
+        x=1, a=0.816, d=-0.467, reference=Linker(2, 2, 1.0), tuned_sites=(1, 2)
+    )
+    found = find_delta_transitions(ev, -7.0, 4.0, level=0.88)
+    # where a fine scan of the same evaluator over [0.3, 0.5] places them
+    assert [t.kind for t in found] == ["pole", "zero"]
+    assert abs(found[0].b - 0.3943694) < 1e-6
+    assert abs(found[1].b - 0.4131277) < 1e-6
 
 
 def test_scan_point_on_the_pole_is_nudged():

@@ -157,6 +157,7 @@ def test_cr3ni_ground_doublet_properties():
     # gauge makes the reference transverse element real and non-negative
     assert abs(elems.x10[0].imag) < 1e-12
     assert elems.x10[0].real > 0.0
+    assert all(v.dtype == np.float64 for v in (enc.ket0, enc.ket1, elems.x10, elems.z00))
     # time-reversal pairing of the doublet
     assert np.abs(elems.z11 + elems.z00).max() < 1e-9
     assert np.abs(elems.z00.imag).max() < 1e-9
@@ -344,6 +345,12 @@ def test_property_sector_encoding_matches_dense_reference(spec):
         return
     enc, elems = ring_qubit_encoding(spec)
     assert enc.gap == gap or abs(enc.gap - gap) < 1e-10
+    # the encoding is real and its gauge a sign: x10[0] >= 0 exactly wherever
+    # |x10[0]| clears regauge's threshold
+    assert all(v.dtype == np.float64 for v in (enc.ket0, enc.ket1, elems.x10, elems.z00))
+    starts, _, _, half_roots = _sector_layout(spec.sites).ladder
+    if abs(elems.x10[0]) > 1e-12 * max(half_roots[: starts[1]].max(initial=0.0), 1.0):
+        assert elems.x10[0] >= 0.0
     # both routes perturb a doublet ket by about (rounding of H) / gap, so a
     # gap barely above the window leaves the kets, not the method, uncertain
     scale = max(max(abs(b).max() for _, b in build_ring_hamiltonian(spec).values()), 1.0)

@@ -89,9 +89,9 @@ def test_uniform_star_spectrum_by_hand():
     # discriminant sqrt(12 + 4) = 4, so the spectrum is {-5/4, 1/4, 1/4, 3/4}
     net = uniform_star(3, 1.0, delta=0.0)
     es = analytic_eigensystem(net)
-    assert abs(es.value_degenerate - 0.25) < 1e-14
-    assert np.allclose(es.value_pair, [-1.25, 0.75], atol=1e-14)
-    assert sorted(np.round(es.all_values(), 12)) == [-1.25, 0.25, 0.25, 0.75]
+    assert abs(es.values[0] - 0.25) < 1e-14
+    assert np.allclose(es.values[-2:], [-1.25, 0.75], atol=1e-14)
+    assert sorted(np.round(es.values, 12)) == [-1.25, 0.25, 0.25, 0.75]
 
 
 def test_analytic_matches_numeric_eigensolver():
@@ -101,9 +101,9 @@ def test_analytic_matches_numeric_eigensolver():
         net = constrained_network(g, 1.3)
         h = build_effective_hamiltonian(net)
         es = analytic_eigensystem(net)
-        assert np.allclose(np.sort(es.all_values()), np.linalg.eigvalsh(h), atol=1e-10)
-        v = es.all_vectors()
-        lam = es.all_values()
+        assert np.allclose(np.sort(es.values), np.linalg.eigvalsh(h), atol=1e-10)
+        v = es.vectors
+        lam = es.values
         scale = max(1.0, float(np.abs(h).max()))
         assert np.abs(h @ v - v * lam).max() < 1e-9 * scale
         assert np.abs(v.T @ v - np.eye(n + 1)).max() < 1e-10
@@ -112,11 +112,11 @@ def test_analytic_matches_numeric_eigensolver():
 def test_degenerate_subspace_projector_matches_numeric():
     net = constrained_network([1.0, -2.0, 0.5, 1.5], 0.9)
     es = analytic_eigensystem(net)
-    d = es.degenerate
+    d = es.vectors[:, :-2]
     p_analytic = d @ d.T
     h = build_effective_hamiltonian(net)
     vals, vecs = np.linalg.eigh(h)
-    mask = np.abs(vals - es.value_degenerate) < 1e-8
+    mask = np.abs(vals - es.values[0]) < 1e-8
     assert mask.sum() == net.n_sites - 1
     block = vecs[:, mask]
     assert np.abs(p_analytic - block @ block.T).max() < 1e-9
@@ -129,8 +129,8 @@ def test_pair_vector_closed_form_structure():
     c = net.constraint_value
     es = analytic_eigensystem(net)
     for j in range(2):
-        vec = es.pair_vectors[:, j]
-        y = 2.0 * es.value_pair[j] - c * (net.n_sites - 2) / 2.0
+        vec = es.vectors[:, -2:][:, j]
+        y = 2.0 * es.values[-2:][j] - c * (net.n_sites - 2) / 2.0
         expected = np.concatenate([net.gammas, [y]])
         expected /= np.linalg.norm(expected)
         assert np.abs(np.abs(vec) - np.abs(expected)).max() < 1e-12
@@ -139,9 +139,9 @@ def test_pair_vector_closed_form_structure():
 def test_single_site_star():
     net = constrained_network([2.0], 1.0)
     es = analytic_eigensystem(net)
-    assert es.degenerate.shape == (2, 0)
+    assert es.vectors[:, :-2].shape == (2, 0)
     # 2x2 block [[-c/4, g/2], [g/2, -c/4]] has eigenvalues (-c -+ 2g)/4
-    assert np.allclose(np.sort(es.value_pair), [-1.25, 0.75], atol=1e-14)
+    assert np.allclose(np.sort(es.values[-2:]), [-1.25, 0.75], atol=1e-14)
 
 
 def test_analytic_refuses_unconstrained_network():
@@ -216,11 +216,11 @@ def test_decoupled_site_is_frozen():
     assert np.abs(moving - expm_evolve(net, basis_state(net, 1), 4.0)).max() < 1e-10
     # the closed-form eigenbasis keeps the frozen site as its own unit vector
     es = analytic_eigensystem(net)
-    v = es.all_vectors()
+    v = es.vectors
     h = build_effective_hamiltonian(net)
-    assert np.abs(h @ v - v * es.all_values()).max() < 1e-12
+    assert np.abs(h @ v - v * es.values).max() < 1e-12
     assert np.abs(v.T @ v - np.eye(4)).max() < 1e-12
-    assert np.array_equal(es.degenerate[:, -1], psi0.real)
+    assert np.array_equal(es.vectors[:, :-2][:, -1], psi0.real)
 
 
 def test_zero_coupling_network_statics():
@@ -231,7 +231,7 @@ def test_zero_coupling_network_statics():
     assert np.array_equal(closed_form_from_site(net, 1, times), [psi0] * 3)
     assert np.array_equal(closed_form_from_center(net, times), [basis_state(net, 3)] * 3)
     es = analytic_eigensystem(net)
-    assert np.allclose(es.all_values(), 0.0, atol=1e-15)
+    assert np.allclose(es.values, 0.0, atol=1e-15)
     for method in ("analytic", "numerical"):
         assert np.array_equal(propagate(net, psi0, [0.0, 2.0], method), [psi0, psi0])
     with pytest.raises(ValidationError):
@@ -388,9 +388,9 @@ def test_property_analytic_spectrum_matches_numeric(case):
     es = analytic_eigensystem(net)
     scale = max(1.0, float(np.abs(h).max()))
     assert np.allclose(
-        np.sort(es.all_values()), np.linalg.eigvalsh(h), atol=1e-9 * scale
+        np.sort(es.values), np.linalg.eigvalsh(h), atol=1e-9 * scale
     )
-    v = es.all_vectors()
+    v = es.vectors
     assert np.abs(v.T @ v - np.eye(net.dim)).max() < 1e-9
 
 

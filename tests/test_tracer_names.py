@@ -4,7 +4,9 @@
 each one up with `getattr`, so a renamed or deleted function would crash
 every traced benchmark run.  Some entries also carry a hook that reads
 attributes of the wrapped function's result, so a changed return type would
-crash it too.  The tracer is loaded from its file, read-only.
+crash it too.  The tracer is loaded from its file, read-only.  The package's
+own export list is checked the same way, since trimming `__all__` can leave
+a name behind.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import ringstar
 from ringstar.oracle import full_space_hamiltonian
 from ringstar.star import uniform_star
 
@@ -34,6 +37,12 @@ def test_every_traced_name_exists():
         if not callable(getattr(importlib.import_module(f"ringstar.{layer}"), name, None))
     ]
     assert tracing.WRAPPED and not missing, missing
+
+
+def test_every_exported_name_resolves_once():
+    missing = [name for name in ringstar.__all__ if not hasattr(ringstar, name)]
+    assert not missing, missing
+    assert len(set(ringstar.__all__)) == len(ringstar.__all__)
 
 
 def test_full_space_hamiltonian_hook_reads_a_real_result():

@@ -31,7 +31,7 @@ def main():
 
     enc, elems = ring_qubit_encoding(spec)
     print(f"\nground doublet gap: {enc.gap:.6f}")
-    print(f"doublet S_z labels: {enc.sz0:+.3f}, {enc.sz1:+.3f}")
+    print(f"doublet <S_z>:      {elems.z00.sum():+.3f}, {elems.z11.sum():+.3f}")
     print("per-site <1|tau_x|0>:", np.round(elems.x10.real, 6))
     print("per-site <0|tau_z|0>:", np.round(elems.z00.real, 6))
 

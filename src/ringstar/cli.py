@@ -27,9 +27,6 @@ from .errors import (
 from .oracle import cross_validate
 from .output import sibling_path, write_csv
 from .protocols import (
-    FLUCTUATION_BRANCH,
-    FLUCTUATION_CONSTRAINT,
-    FLUCTUATION_WINDING,
     fidelity_curve,
     fluctuation_sweep,
     make_transfer_program,
@@ -53,6 +50,13 @@ def _amplitude_header(dim: int) -> list[str]:
     return cols
 
 
+def _protocol_options(cfg: dict, *keys: str) -> dict:
+    """The `keys` the protocol section gives, as keyword arguments: a key the
+    config leaves out is not passed, so the library default applies."""
+    protocol = cfg_mod.protocol_section(cfg)
+    return {key: protocol[key] for key in keys if key in protocol}
+
+
 def cmd_spectrum(cfg: dict, args) -> list[tuple[str, list, list]]:
     network = cfg_mod.network_from_config(cfg)
     header = ["index", "kind", "value"] + [f"c_{j}" for j in range(1, network.dim + 1)]
@@ -74,9 +78,9 @@ def cmd_spectrum(cfg: dict, args) -> list[tuple[str, list, list]]:
 def cmd_evolve(cfg: dict, args) -> list[tuple[str, list, list]]:
     network = cfg_mod.network_from_config(cfg)
     initial = cfg_mod.initial_state_from_config(cfg, network)
-    method = cfg_mod.protocol_section(cfg).get("method", "auto")
+    options = _protocol_options(cfg, "method")
     times = cfg_mod.grid_from_config(cfg, "time")
-    states = propagate(network, initial, times, method=method)
+    states = propagate(network, initial, times, **options)
     cells = np.empty((len(times), 2 * network.dim + 1))
     cells[:, 0] = times
     cells[:, 1::2] = states.real
@@ -86,11 +90,10 @@ def cmd_evolve(cfg: dict, args) -> list[tuple[str, list, list]]:
 
 def cmd_wgen(cfg: dict, args) -> list[tuple[str, list, list]]:
     protocol = cfg_mod.protocol_section(cfg)
-    winding = args.k if args.k is not None else protocol.get("winding")
     source = protocol.get("source", "center")
     if source == "center":
         network = cfg_mod.network_from_config(cfg)
-        plan = plan_w_from_center(network, winding=0 if winding is None else winding)
+        plan = plan_w_from_center(network, **_protocol_options(cfg, "winding"))
     elif "n_sites" not in protocol:
         raise ConfigError("protocol.n_sites is required for a site source")
     else:
@@ -99,8 +102,7 @@ def cmd_wgen(cfg: dict, args) -> list[tuple[str, list, list]]:
             source,
             protocol.get("constraint", 0.0),
             protocol.get("gamma_source", 1.0),
-            winding=winding,
-            branch=args.branch if args.branch else protocol.get("branch", "plus"),
+            **_protocol_options(cfg, "winding", "branch"),
         )
     network = plan.network
     header = [
@@ -115,34 +117,26 @@ def cmd_wgen(cfg: dict, args) -> list[tuple[str, list, list]]:
     ]
     rows = [
         (
-            "center" if plan.source == "center" else int(plan.source),
-            int(plan.winding),
-            float(plan.t_w),
-            None if plan.ratio is None else float(plan.ratio),
-            float(plan.chi),
-            float(plan.predicted_error),
-            float(network.constraint_value),
-            float(network.omega),
+            plan.source,
+            plan.winding,
+            plan.t_w,
+            plan.ratio,
+            plan.chi,
+            plan.predicted_error,
+            network.constraint_value,
+            network.omega,
         )
     ]
-    site_rows = [
-        (i + 1, float(network.gammas[i]), float(network.deltas[i]))
-        for i in range(network.n_sites)
-    ]
+    sites = zip(range(1, network.dim), network.gammas.tolist(), network.deltas.tolist())
     return [
         (args.out, header, rows),
-        (sibling_path(args.out, "network"), ["site", "gamma", "delta"], site_rows),
+        (sibling_path(args.out, "network"), ["site", "gamma", "delta"], list(sites)),
     ]
 
 
 def cmd_sweep_fluct(cfg: dict, args) -> list[tuple[str, list, list]]:
-    protocol = cfg_mod.protocol_section(cfg)
-    rows = fluctuation_sweep(
-        cfg_mod.grid_from_config(cfg, "delta"),
-        constraint=protocol.get("constraint", FLUCTUATION_CONSTRAINT),
-        winding=args.k if args.k is not None else protocol.get("winding", FLUCTUATION_WINDING),
-        branch=args.branch if args.branch else protocol.get("branch", FLUCTUATION_BRANCH),
-    )
+    options = _protocol_options(cfg, "constraint", "winding", "branch")
+    rows = fluctuation_sweep(cfg_mod.grid_from_config(cfg, "delta"), **options)
     return [(args.out, ["delta", "E_r"], rows)]
 
 
@@ -155,14 +149,10 @@ def cmd_transfer(cfg: dict, args) -> list[tuple[str, list, list]]:
     ).tolist()
     network = program.network
     program_rows = [
-        (
-            i + 1,
-            float(network.gammas[i]),
-            float(network.deltas[i]),
-            float(program.t_transfer),
-            float(program.peak_target_fidelity),
+        (site, gamma, delta, program.t_transfer, program.peak_target_fidelity)
+        for site, gamma, delta in zip(
+            range(1, network.dim), network.gammas.tolist(), network.deltas.tolist()
         )
-        for i in range(network.n_sites)
     ]
     return [
         (args.out, ["t", "F_return", "F_target"], curve_rows),
@@ -189,10 +179,8 @@ def cmd_validate(cfg: dict, args) -> list[tuple[str, list, list]]:
     network = cfg_mod.network_from_config(cfg)
     initial = cfg_mod.initial_state_from_config(cfg, network)
     times = cfg_mod.grid_from_config(cfg, "time")
-    convention = cfg_mod.z_convention_from_config(cfg)  # checked even when overridden
-    report = cross_validate(
-        network, initial, times, z_convention=args.z_convention or convention
-    )
+    convention = cfg_mod.z_convention_from_config(cfg)
+    report = cross_validate(network, initial, times, z_convention=convention)
     return [(args.out, ["check", "max_deviation", "threshold", "pass"], report.rows())]
 
 
@@ -216,15 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--k", type=int, default=None, help="winding override")
-    parser.add_argument(
-        "--branch", choices=("plus", "minus"), default=None,
-        help="coupling-ratio branch override",
-    )
-    parser.add_argument(
-        "--z-convention", choices=("halfspin", "pauli"), default=None,
-        dest="z_convention", help="full-space z operator convention",
-    )
     return parser
 
 

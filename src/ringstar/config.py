@@ -90,6 +90,18 @@ def _choice(obj: dict, key: str, where: str, choices: tuple, default: Any = _REQ
     return value
 
 
+def _given(obj: dict, where: str, kinds: dict, names: dict | None = None) -> dict:
+    """Only the keys of `kinds` that `obj` gives, so the callee's default is the
+    only one: read in that order, renamed by `names`.  A tuple kind is choices."""
+    return {
+        names.get(key, key) if names else key: _choice(obj, key, where, kind)
+        if isinstance(kind, tuple)
+        else _get(obj, key, where, kind)
+        for key, kind in kinds.items()
+        if key in obj
+    }
+
+
 def _section(cfg: dict, key: str, keys) -> dict:
     """cfg[key]: present, a JSON object, and with no key outside `keys`."""
     return _check_keys(_get(cfg, key, "", dict), keys, key)
@@ -143,21 +155,23 @@ def z_convention_from_config(cfg: dict) -> str:
     return _choice(cfg, "z_convention", "", ("halfspin", "pauli"), "halfspin")
 
 
+# the top-level coupling_scale key, passed on as the library's `scale`
+_SCALE = ({"coupling_scale": float}, {"coupling_scale": "scale"})
+# the substituted-ring shorthand's optional keys and RingSpec.cr_ni's names for them
+_SHORTHAND_KEYS = {"J": float, "a": float, "d": float, "symmetric_ni_bonds": bool}
+_CR_NI_NAMES = {"J": "exchange", "a": "ratio", "d": "crystal_field",
+                "symmetric_ni_bonds": "symmetric_substitute_bonds"}
+
+
 def ring_spec_from_config(obj: Any, where: str) -> RingSpec:
     """Either the substituted-ring shorthand {x, J, a, d, symmetric_ni_bonds}
     or an explicit {spins, bonds, crystal_fields} triple."""
     if "x" in _typed(obj, dict, where):
-        _check_keys(obj, {"x", "J", "a", "d", "symmetric_ni_bonds"}, where)
+        _check_keys(obj, {"x", *_SHORTHAND_KEYS}, where)
         x = _get(obj, "x", where, int)
         if x < 1:
             raise ValidationError(f"{where}.x must be >= 1")
-        return RingSpec.cr_ni(
-            x,
-            exchange=_get(obj, "J", where, float, 17.0),
-            ratio=_get(obj, "a", where, float, 0.9),
-            crystal_field=_get(obj, "d", where, float, 0.3),
-            symmetric_substitute_bonds=_get(obj, "symmetric_ni_bonds", where, bool, False),
-        )
+        return RingSpec.cr_ni(x, **_given(obj, where, _SHORTHAND_KEYS, _CR_NI_NAMES))
     _check_keys(obj, {"spins", "bonds", "crystal_fields"}, where)
     spins, bonds, fields = (
         tuple(_get(obj, key, where, _number_list))
@@ -209,9 +223,8 @@ def network_from_config(cfg: dict) -> StarNetwork:
         ]
         for i, (group, spec) in enumerate(zip(groups, rings))
     ]
-    scale = _get(cfg, "coupling_scale", "", float, 1.0)
     return star_from_rings(
-        central, rings, linkers, scale=scale, dim_cap=dim_cap_from_config(cfg)
+        central, rings, linkers, **_given(cfg, "", *_SCALE), dim_cap=dim_cap_from_config(cfg)
     )
 
 
@@ -235,20 +248,19 @@ def _initial(value: Any, where: str) -> int | str | list[complex]:
     return amps
 
 
-_TRANSFER_KEYS = {"n_sites", "block", "amplitudes", "alpha", "gamma_scale", "constraint"}
+_TRANSFER_OPTIONAL = {
+    "amplitudes": _number_list, "alpha": float, "gamma_scale": float, "constraint": float
+}
 
 
 def _transfer(value: Any, where: str) -> dict:
-    _check_keys(_typed(value, dict, where), _TRANSFER_KEYS, where)
+    _check_keys(_typed(value, dict, where), {"n_sites", "block", *_TRANSFER_OPTIONAL}, where)
     if ("amplitudes" in value) == ("alpha" in value):
         raise ConfigError(f"{where} needs exactly one of 'amplitudes' and 'alpha'")
     return {
         "n_sites": _get(value, "n_sites", where, int),
         "block": _get(value, "block", where, int),
-        "amplitudes": _get(value, "amplitudes", where, _number_list, None),
-        "alpha": _get(value, "alpha", where, float, None),
-        "gamma_scale": _get(value, "gamma_scale", where, float, 1.0),
-        "constraint": _get(value, "constraint", where, float, 0.0),
+        **_given(value, where, _TRANSFER_OPTIONAL),
     }
 
 
@@ -270,17 +282,10 @@ def protocol_section(cfg: dict) -> dict:
     """Every key the protocol section gives, type-checked; {} when the section
     is absent.  "initial" and "source" come back as "center" or a site index
     ("initial" also as a list of complex amplitudes), "transfer" as a dict of
-    all six transfer keys, with None for the absent one of amplitudes and alpha."""
+    n_sites, block and only those of its optional keys the config gives."""
     if "protocol" not in cfg:
         return {}
-    protocol = _section(cfg, "protocol", PROTOCOL_KEYS)
-    return {
-        key: _choice(protocol, key, "protocol", kind)
-        if isinstance(kind, tuple)
-        else _get(protocol, key, "protocol", kind)
-        for key, kind in PROTOCOL_KEYS.items()
-        if key in protocol
-    }
+    return _given(_section(cfg, "protocol", PROTOCOL_KEYS), "protocol", PROTOCOL_KEYS)
 
 
 def initial_state_from_config(cfg: dict, network: StarNetwork) -> np.ndarray:
@@ -310,7 +315,7 @@ def transfer_section(cfg: dict) -> dict:
     if "transfer" not in protocol:
         raise ConfigError("protocol.transfer is required for this command")
     params = dict(protocol["transfer"])
-    alpha = params.pop("alpha")
+    alpha = params.pop("alpha", None)
     if alpha is not None:
         if params["block"] != 2:
             raise ValidationError("alpha shorthand only defines a block of 2")
@@ -337,14 +342,24 @@ SECTION_KEYS = {
 TOP_LEVEL_KEYS = {"mode", "z_convention", "coupling_scale", "dim_cap", *SECTION_KEYS}
 
 
+def _site_pair(pair: Any, where: str, n_ring: int) -> tuple[int, int]:
+    if len(_typed(pair, list, where)) != 2:
+        raise ConfigError(f"{where} must be a pair of integers")
+    sites = tuple(_typed(v, int, where) for v in pair)
+    if any(not 1 <= v <= n_ring for v in sites):
+        raise ValidationError(f"{where} out of range 1..{n_ring}")
+    return sites
+
+
 def sweep_section(cfg: dict) -> dict:
     """Validated anisotropy-sweep parameters, discriminated by 'kind': the
     keyword arguments of `sweep_anisotropy_<kind>` plus 'kind' itself."""
     kind = _choice(_get(cfg, "sweep", "", dict), "kind", "sweep", tuple(_SWEEP_KEYS))
     sweep = _section(cfg, "sweep", _SWEEP_SHARED | _SWEEP_KEYS[kind])
+    # x keeps a default: linker and tuned sites are range-checked against x + 1 before ED
     x = _get(sweep, "x", "sweep", int, 3)
     n_ring = x + 1
-    params = {"kind": kind, "x": x, "exchange": _get(sweep, "exchange", "sweep", float, 17.0)}
+    params = {"kind": kind, "x": x, **_given(sweep, "sweep", {"exchange": float})}
     if kind == "ad":
         params["a_values"] = _get(sweep, "a_values", "sweep", parse_grid)
         params["d_values"] = _get(sweep, "d_values", "sweep", parse_grid)
@@ -354,22 +369,12 @@ def sweep_section(cfg: dict) -> dict:
         ]
     else:
         params["b_values"] = _get(sweep, "b_values", "sweep", parse_grid)
-        params["a"] = _get(sweep, "a", "sweep", float, 0.9)
-        params["d"] = _get(sweep, "d", "sweep", float, 0.3)
-        params["reference"] = (
-            _linker_from_config(sweep["reference"], "sweep.reference", n_ring, n_ring)
-            if "reference" in sweep
-            else Linker(1, 2, 1.0)
-        )
-        pair = _get(sweep, "tuned_sites", "sweep", list, [n_ring, n_ring])
-        if len(pair) != 2:
-            raise ConfigError("sweep.tuned_sites must be a pair of integers")
-        params["tuned_sites"] = tuple(_typed(v, int, "sweep.tuned_sites") for v in pair)
-        if any(not 1 <= v <= n_ring for v in params["tuned_sites"]):
-            raise ValidationError(f"sweep.tuned_sites out of range 1..{n_ring}")
-    params["symmetric_substitute_bonds"] = _get(
-        sweep, "symmetric_ni_bonds", "sweep", bool, False
-    )
-    params["scale"] = _get(cfg, "coupling_scale", "", float, 1.0)
+        params.update(_given(sweep, "sweep", {
+            "a": float, "d": float,
+            "reference": lambda obj, where: _linker_from_config(obj, where, n_ring, n_ring),
+            "tuned_sites": lambda pair, where: _site_pair(pair, where, n_ring),
+        }))
+    params.update(_given(sweep, "sweep", {"symmetric_ni_bonds": bool}, _CR_NI_NAMES))
+    params.update(_given(cfg, "", *_SCALE))
     params["dim_cap"] = dim_cap_from_config(cfg)
     return params

@@ -275,8 +275,6 @@ class QubitEncoding:
     ket0: np.ndarray
     ket1: np.ndarray
     gap: float
-    sz0: float
-    sz1: float
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:
@@ -382,7 +380,7 @@ def ground_doublet(sectors: dict, spec: RingSpec) -> QubitEncoding:
         raise GroundDoubletError(f"no S_z = +-1/2 ground doublet (gap {gap:.3e})")
     ket1 = np.zeros(spec.dim)
     ket1[idx1] = vec1[:, 0]
-    raw = QubitEncoding(ket0=ket1[::-1], ket1=ket1, gap=gap, sz0=-0.5, sz1=0.5)
+    raw = QubitEncoding(ket0=ket1[::-1], ket1=ket1, gap=gap)
     return regauge(raw, spec)
 
 

@@ -243,7 +243,7 @@ def test_criterion_7_microscopic_ring_layer():
     spec = RingSpec.cr_ni(3)  # three spin-3/2 plus one spin-1, J=17, a=0.9, d=0.3
     enc, elems = ring_qubit_encoding(spec)
     gap_ok = enc.gap > 0.0
-    doublet_ok = abs(enc.sz0 + 0.5) < 1e-8 and abs(enc.sz1 - 0.5) < 1e-8
+    doublet_ok = abs(elems.z00.sum() + 0.5) < 1e-8 and abs(elems.z11.sum() - 0.5) < 1e-8
 
     evaluate = b_sweep_evaluator()
     transitions = find_delta_transitions(evaluate, 0.0, 5.0)

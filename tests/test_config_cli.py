@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,15 @@ from ringstar.config import (
     transfer_section,
     z_convention_from_config,
 )
-from ringstar.coupling import sweep_anisotropy_b
-from ringstar.errors import ConfigError, ValidationError
+from ringstar.coupling import Linker, sweep_anisotropy_ad, sweep_anisotropy_b
+from ringstar.errors import ConfigError, InfeasibleError, ValidationError
 from ringstar.output import format_cell, render_csv, sibling_path
+from ringstar.protocols import (
+    fidelity_curve,
+    fluctuation_sweep,
+    make_transfer_program,
+    plan_w_from_site,
+)
 from ringstar.star import basis_state, propagate, uniform_star
 
 
@@ -39,6 +46,12 @@ def write_json(path, payload):
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def program_fields(program):
+    network = program.network
+    return (program.amplitudes, network.gammas.tolist(), network.deltas.tolist(),
+            program.t_transfer, program.peak_target_fidelity)
 
 
 # -- config ------------------------------------------------------------------
@@ -179,7 +192,11 @@ def test_transfer_section_alpha_shorthand():
     params = transfer_section(cfg)
     assert abs(params["amplitudes"][0] - math.sin(math.pi / 3)) < 1e-15
     assert abs(params["amplitudes"][1] - math.cos(math.pi / 3)) < 1e-15
-    assert params["gamma_scale"] == 1.0 and params["constraint"] == 0.0
+    # omitted keys are not passed on: make_transfer_program's defaults apply
+    assert sorted(params) == ["amplitudes", "block", "n_sites"]
+    given = make_transfer_program(**params)
+    written_out = make_transfer_program(**params, gamma_scale=1.0, constraint=0.0)
+    assert program_fields(given) == program_fields(written_out)
     with pytest.raises(ValidationError):
         transfer_section(
             {"protocol": {"transfer": {"n_sites": 7, "block": 3, "alpha": 0.3}}}
@@ -210,9 +227,15 @@ def test_sweep_section_kinds():
         }
     }
     params = sweep_section(b_cfg)
-    assert params["kind"] == "b"
-    assert params["reference"].central_site == 2
-    assert params["tuned_sites"] == (2, 2)  # defaults to the substituted site
+    assert params.pop("kind") == "b"
+    # omitted keys are not passed on: sweep_anisotropy_b's defaults apply,
+    # the tuned sites defaulting to the substituted site
+    assert sorted(params) == ["b_values", "dim_cap", "x"]
+    written_out = dict(
+        params, exchange=17.0, a=0.9, d=0.3, reference=Linker(1, 2, 1.0),
+        tuned_sites=(2, 2), symmetric_substitute_bonds=False, scale=1.0,
+    )
+    assert sweep_anisotropy_b(**params) == sweep_anisotropy_b(**written_out)
     ad_cfg = {
         "sweep": {
             "kind": "ad",
@@ -222,7 +245,10 @@ def test_sweep_section_kinds():
         }
     }
     params = sweep_section(ad_cfg)
-    assert params["kind"] == "ad" and params["x"] == 3
+    assert params.pop("kind") == "ad" and params["x"] == 3
+    assert sorted(params) == ["a_values", "d_values", "dim_cap", "linkers", "x"]
+    written_out = dict(params, exchange=17.0, symmetric_substitute_bonds=False, scale=1.0)
+    assert sweep_anisotropy_ad(**params) == sweep_anisotropy_ad(**written_out)
     with pytest.raises(ConfigError):
         sweep_section({"sweep": {"kind": "c", "b_values": [0.0]}})
     with pytest.raises(ValidationError):
@@ -406,12 +432,11 @@ def test_cli_wgen_center(tmp_path):
 def test_cli_wgen_site_with_overrides(tmp_path):
     cfg = write_json(
         tmp_path / "cfg.json",
-        {"protocol": {"source": 3, "n_sites": 3, "constraint": 1.0}},
+        {"protocol": {"source": 3, "n_sites": 3, "constraint": 1.0, "winding": 2,
+                      "branch": "minus"}},
     )
     out = tmp_path / "plan.csv"
-    code = run_cli(
-        "wgen", "--config", cfg, "--out", str(out), "--k", "2", "--branch", "minus"
-    )
+    code = run_cli("wgen", "--config", cfg, "--out", str(out))
     assert code == 0
     header, row = out.read_text().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
@@ -421,37 +446,50 @@ def test_cli_wgen_site_with_overrides(tmp_path):
 
 
 def test_cli_overrides_take_precedence_over_the_config(tmp_path):
-    def wgen(name, flags=(), **protocol):
+    def wgen(name, **protocol):
         site = {"source": 3, "n_sites": 3, "constraint": 1.0}
         cfg = write_json(tmp_path / f"{name}.json", {"protocol": dict(site, **protocol)})
         out = tmp_path / f"{name}.csv"
-        assert run_cli("wgen", "--config", cfg, "--out", str(out), *flags) == 0
+        assert run_cli("wgen", "--config", cfg, "--out", str(out)) == 0
         return out.read_bytes(), (tmp_path / f"{name}-network.csv").read_bytes()
 
-    k3 = wgen("k3", winding=3)
-    assert wgen("k", ["--k", "2"], winding=3) == wgen("k2", winding=2) != k3
-    plus = wgen("plus", winding=2, branch="plus")
-    minus = wgen("minus", winding=2, branch="minus")
-    assert wgen("branch", ["--branch", "minus"], winding=2, branch="plus") == minus != plus
-    both = wgen("both", ["--k", "2", "--branch", "minus"], winding=3, branch="plus")
-    assert both == minus
+    assert wgen("k2", winding=2) != wgen("k3", winding=3)
+    assert wgen("minus", winding=2, branch="minus") != wgen("plus", winding=2, branch="plus")
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path):
-    # one cached parser serves every call, so an override must not leak
-    # from one call into the next
+    # one cached parser serves every call, so nothing may leak from one call
+    # into the next
     cfg = write_json(
         tmp_path / "cfg.json",
         {"protocol": {"source": 3, "n_sites": 3, "constraint": 1.0}},
     )
     assert cli.build_parser() is cli.build_parser()
-    with_k, after, fresh = (tmp_path / f"{name}.csv" for name in ("k", "after", "fresh"))
-    assert run_cli("wgen", "--config", cfg, "--out", str(with_k), "--k", "3") == 0
+    after, fresh = (tmp_path / f"{name}.csv" for name in ("after", "fresh"))
     assert run_cli("wgen", "--config", cfg, "--out", str(after)) == 0
     cli.build_parser.cache_clear()
     assert run_cli("wgen", "--config", cfg, "--out", str(fresh)) == 0
     assert after.read_bytes() == fresh.read_bytes()
-    assert with_k.read_bytes() != after.read_bytes()  # the override took effect
+
+
+@pytest.mark.parametrize(
+    "flag", [["--k", "2"], ["--branch", "minus"], ["--z-convention", "pauli"]]
+)
+def test_cli_removed_override_flags_exit_2_and_write_nothing(tmp_path, capsys, flag):
+    # the config is the whole record of a run: no flag may override a key
+    cfg = write_json(tmp_path / "cfg.json", EVOLVE)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("validate", "--config", cfg, "--out", str(out), *flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_parser_takes_only_config_and_out():
+    actions = cli.build_parser()._actions
+    options = [option for action in actions for option in action.option_strings]
+    assert options == ["-h", "--help", "--config", "--out"]
 
 
 def test_cli_wgen_infeasible_leaves_no_file(tmp_path):
@@ -530,6 +568,85 @@ def test_b_sweep_default_tuned_sites_match_the_cli(tmp_path, x):
         for r in sweep_anisotropy_b(b_values, x=x)
     ]
     assert rows == expected
+
+
+# command -> the config every run gives, and per optional key: (its section
+# path, key, config value, the library keyword, the library value)
+OPTIONAL_KEYS = {
+    "sweep-aniso": ({"sweep": {"kind": "b", "b_values": [0.5, 2.0], "x": 1}}, [
+        (("sweep",), "exchange", 15.0, "exchange", 15.0),
+        (("sweep",), "a", 0.8, "a", 0.8),
+        (("sweep",), "d", -0.2, "d", -0.2),
+        (("sweep",), "reference", {"ring_site": 2, "central_site": 1, "strength": 0.7},
+         "reference", Linker(2, 1, 0.7)),
+        (("sweep",), "tuned_sites", [1, 2], "tuned_sites", (1, 2)),
+        (("sweep",), "symmetric_ni_bonds", True, "symmetric_substitute_bonds", True),
+        ((), "coupling_scale", 2.0, "scale", 2.0),
+    ]),
+    "sweep-fluct": ({"grids": {"delta": [-0.05, 0.0, 0.1]}}, [
+        (("protocol",), "constraint", 0.5, "constraint", 0.5),
+        (("protocol",), "winding", 3, "winding", 3),
+        (("protocol",), "branch", "plus", "branch", "plus"),
+    ]),
+    "wgen": ({"protocol": {"source": 2, "n_sites": 3, "constraint": 1.0}}, [
+        (("protocol",), "winding", 3, "winding", 3),
+        (("protocol",), "branch", "minus", "branch", "minus"),
+    ]),
+    "transfer": ({"protocol": {"transfer": {"n_sites": 5, "block": 2, "amplitudes": [0.6, 0.8]}},
+                  "grids": {"time": [0.0, 1.0, 2.5]}}, [
+        (("protocol", "transfer"), "gamma_scale", 1.5, "gamma_scale", 1.5),
+        (("protocol", "transfer"), "constraint", 0.3, "constraint", 0.3),
+    ]),
+}
+
+
+def library_csv(command, keywords):
+    """The CSV the library call given exactly `keywords` amounts to."""
+    if command == "sweep-aniso":
+        rows = sweep_anisotropy_b([0.5, 2.0], x=1, **keywords)
+        return render_csv(["a", "d", "b", "gamma", "delta", "gap", "status"], [
+            (r.a, r.d, r.b, r.gamma, r.delta, r.gap, r.status) for r in rows])
+    if command == "sweep-fluct":
+        return render_csv(["delta", "E_r"], fluctuation_sweep([-0.05, 0.0, 0.1], **keywords))
+    if command == "wgen":
+        plan = plan_w_from_site(3, 2, 1.0, 1.0, **keywords)
+        header = ["source", "winding", "t_w", "coupling_ratio", "chi", "predicted_error",
+                  "constraint", "omega"]
+        return render_csv(header, [(
+            plan.source, plan.winding, plan.t_w, plan.ratio, plan.chi,
+            plan.predicted_error, plan.network.constraint_value, plan.network.omega)])
+    program = make_transfer_program(5, 2, [0.6, 0.8], **keywords)
+    curve = fidelity_curve(program, [0.0, 1.0, 2.5])
+    return render_csv(["t", "F_return", "F_target"], list(zip(
+        curve.times.tolist(), curve.return_fidelity.tolist(), curve.target_fidelity.tolist())))
+
+
+@pytest.mark.parametrize("command", OPTIONAL_KEYS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_property_an_omitted_key_takes_the_library_default(command, data):
+    # one default per parameter: a config that leaves a key out runs exactly
+    # the library call that leaves its keyword out
+    base, options = OPTIONAL_KEYS[command]
+    chosen = data.draw(st.sets(st.sampled_from(range(len(options)))))
+    config, keywords = json.loads(json.dumps(base)), {}
+    for i in sorted(chosen):
+        path, key, value, keyword, library_value = options[i]
+        section = config
+        for name in path:
+            section = section.setdefault(name, {})
+        section[key] = value
+        keywords[keyword] = library_value
+    try:
+        expected = library_csv(command, keywords)
+    except InfeasibleError:
+        expected = None
+    with tempfile.TemporaryDirectory() as work:
+        cfg = write_json(Path(work) / "cfg.json", config)
+        out = Path(work) / "out.csv"
+        code = run_cli(command, "--config", cfg, "--out", str(out))
+        assert code == (4 if expected is None else 0)
+        assert (out.read_text() if out.exists() else None) == expected
 
 
 def test_cli_sweep_aniso_reaches_the_cr7ni_ring(tmp_path):
@@ -708,10 +825,10 @@ def test_cli_rejects_unknown_keys_in_sections_the_command_does_not_read(
 def test_cli_z_convention_override_still_checks_the_config(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", dict(EVOLVE, z_convention="spin"))
     out = str(tmp_path / "x.csv")
-    assert run_cli("validate", "--config", cfg, "--out", out, "--z-convention", "pauli") == 2
+    assert run_cli("validate", "--config", cfg, "--out", out) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
-    cfg = write_json(tmp_path / "cfg.json", dict(EVOLVE, z_convention="halfspin"))
-    assert run_cli("validate", "--config", cfg, "--out", out, "--z-convention", "pauli") == 0
+    cfg = write_json(tmp_path / "cfg.json", dict(EVOLVE, z_convention="pauli"))
+    assert run_cli("validate", "--config", cfg, "--out", out) == 0
 
 
 EFFECTIVE = {"mode": "effective", "effective": {"gammas": [1.0] * 3, "deltas": [-1.0] * 3}}

@@ -70,8 +70,6 @@ def test_gauge_independence():
             ket0=enc.ket0 * phase0,
             ket1=enc.ket1 * phase1,
             gap=enc.gap,
-            sz0=enc.sz0,
-            sz1=enc.sz1,
         )
         refixed = regauge(rotated, spec)
         twisted = doublet_matrix_elements(refixed, spec)

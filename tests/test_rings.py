@@ -152,7 +152,8 @@ def test_cr3ni_ground_doublet_properties():
     assert enc.gap > 0.0
     # frozen from an independent dense diagonalization of the same model
     assert abs(enc.gap - 24.72156756852044) < 1e-8
-    assert abs(enc.sz0 + 0.5) < 1e-6 and abs(enc.sz1 - 0.5) < 1e-6
+    # <S_z> of each ket, measured: the per-site tau_z elements sum to it
+    assert abs(elems.z00.sum() + 0.5) < 1e-6 and abs(elems.z11.sum() - 0.5) < 1e-6
     assert abs(np.vdot(enc.ket0, enc.ket1)) < 1e-10
     # gauge makes the reference transverse element real and non-negative
     assert abs(elems.x10[0].imag) < 1e-12
@@ -246,7 +247,7 @@ def test_ladder_table_matches_kron_sandwiches():
         for ket, two_m in zip(kets, (-1, 1)):
             where = np.flatnonzero(2 * sz == two_m)
             ket[where] = rng.normal(size=where.size) + 1j * rng.normal(size=where.size)
-        enc = QubitEncoding(ket0=kets[0], ket1=kets[1], gap=np.inf, sz0=-0.5, sz1=0.5)
+        enc = QubitEncoding(ket0=kets[0], ket1=kets[1], gap=np.inf)
         x10 = doublet_matrix_elements(enc, spec).x10
         for k, s in enumerate(spec.sites):
             tau_x = spin_operators(s)[0]
@@ -312,12 +313,12 @@ def test_property_ring_operators_match_kron_reference(spec, seed):
     kets[1, 2 * np.diag(sz_reference).real != 1] = 0.0
     if not kets.any():  # integer total spin: no such sectors, any ket is refused
         full = np.ones(spec.dim)
-        enc = QubitEncoding(ket0=full, ket1=full, gap=np.inf, sz0=-0.5, sz1=0.5)
+        enc = QubitEncoding(ket0=full, ket1=full, gap=np.inf)
         with pytest.raises(ValidationError, match="sectors"):
             doublet_matrix_elements(enc, spec)
         return
     kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-    enc = QubitEncoding(ket0=kets[0], ket1=kets[1], gap=np.inf, sz0=-0.5, sz1=0.5)
+    enc = QubitEncoding(ket0=kets[0], ket1=kets[1], gap=np.inf)
     elems = doublet_matrix_elements(enc, spec)
     for m, s in enumerate(spec.sites):
         tx, _, tz = (site_operator(t, m, dims) for t in spin_operators(s))
@@ -461,13 +462,13 @@ def test_regauge_breaks_magnitude_ties_by_first_index():
     tied = np.array([0.0, 1.0, 0.0, -1.0]) / np.sqrt(2.0)
     for wobble in (1.0 - 4e-16, 1.0, 1.0 + 4e-16, 1.0 + 1e-9):
         ket = tied * [1.0, 1.0, 1.0, wobble]
-        enc = QubitEncoding(ket0=ket, ket1=-1j * ket, gap=1.0, sz0=-0.5, sz1=0.5)
+        enc = QubitEncoding(ket0=ket, ket1=-1j * ket, gap=1.0)
         fixed = regauge(enc)
         assert fixed.ket0[1] == fixed.ket1[1] == tied[1]
         assert fixed.ket0[3] < 0.0 and fixed.ket1[3] < 0.0
     # outside the tie window the larger entry is the pivot
     clear = tied * [1.0, 1.0, 1.0, 1.0 + 1e-3]
-    assert regauge(QubitEncoding(clear, clear, 1.0, -0.5, 0.5)).ket0[3] > 0.0
+    assert regauge(QubitEncoding(clear, clear, 1.0)).ket0[3] > 0.0
 
 
 def test_lanczos_branch_matches_dense_eigh_on_x5_blocks():

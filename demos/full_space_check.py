@@ -18,12 +18,12 @@ from ringstar import StarNetwork, basis_state, cross_validate, uniform_star
 
 def show(title, network, source_site):
     start = basis_state(network, source_site)
-    report = cross_validate(network, start, np.linspace(0.0, 4.0, 9))
     print(title)
-    for name, deviation, threshold, passed in report.rows():
+    for check in cross_validate(network, start, np.linspace(0.0, 4.0, 9)):
+        threshold = check.threshold
         bound = "reported only" if threshold is None else f"<= {threshold:.0e}"
-        verdict = {True: "ok", False: "FAIL", None: "-"}[passed]
-        print(f"  {name:26s} {deviation:.3e}   {bound:14s} {verdict}")
+        verdict = {True: "ok", False: "FAIL", None: "-"}[check.passed]
+        print(f"  {check.name:26s} {check.max_deviation:.3e}   {bound:14s} {verdict}")
     print()
 
 

@@ -25,7 +25,6 @@ from .rings import (
     ground_doublet,
     regauge,
     ring_qubit_encoding,
-    spin_operators,
 )
 from .coupling import (
     DeltaTransition,
@@ -45,9 +44,6 @@ from .star import (
     analytic_eigensystem,
     basis_state,
     build_effective_hamiltonian,
-    closed_form_from_center,
-    closed_form_from_site,
-    evolve_subspace,
     propagate,
     uniform_star,
 )
@@ -66,7 +62,6 @@ from .protocols import (
 )
 from .oracle import (
     CheckResult,
-    ValidationReport,
     cross_validate,
     full_space_hamiltonian,
     single_excitation_indices,
@@ -95,7 +90,6 @@ __all__ = [
     "SweepRow",
     "TransferProgram",
     "ValidationError",
-    "ValidationReport",
     "WGenerationPlan",
     "analytic_eigensystem",
     "apply_phase_correction",
@@ -103,13 +97,10 @@ __all__ = [
     "basis_state",
     "build_effective_hamiltonian",
     "build_ring_hamiltonian",
-    "closed_form_from_center",
-    "closed_form_from_site",
     "cross_validate",
     "doublet_matrix_elements",
     "effective_coupling",
     "equal_population_ratio",
-    "evolve_subspace",
     "fidelity_curve",
     "find_delta_transitions",
     "fluctuation_sweep",
@@ -125,7 +116,6 @@ __all__ = [
     "regauge",
     "ring_qubit_encoding",
     "single_excitation_indices",
-    "spin_operators",
     "star_from_rings",
     "sweep_anisotropy_ad",
     "sweep_anisotropy_b",

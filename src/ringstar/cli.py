@@ -2,9 +2,9 @@
 
 Every command reads one JSON config and writes CSV.  All computation happens
 before any file is opened and the outputs are moved into place together, so
-a failing run leaves no partial output.  Exit codes sort failures by kind:
-2 config/parse or an unwritable output, 3 validation, 4 infeasible protocol
-or divergent extraction, 5 dimension cap.
+a failing run leaves no partial output.  A failure exits with its error
+class's `exit_code` (the table is in `errors`), an unwritable output with
+ConfigError's.
 """
 from __future__ import annotations
 
@@ -16,14 +16,8 @@ import sys
 import numpy as np
 
 from . import config as cfg_mod
-from .coupling import sweep_anisotropy_ad, sweep_anisotropy_b
-from .errors import (
-    ConfigError,
-    DimensionCapError,
-    InfeasibleError,
-    RingStarError,
-    ValidationError,
-)
+from .coupling import SweepRow, sweep_anisotropy_ad, sweep_anisotropy_b
+from .errors import ConfigError, RingStarError
 from .oracle import cross_validate
 from .output import sibling_path, write_csv
 from .protocols import (
@@ -35,11 +29,6 @@ from .protocols import (
 )
 from .star import analytic_eigensystem, build_effective_hamiltonian, propagate
 from .linalg import hermitian_eigendecompose
-
-EXIT_CONFIG = 2
-EXIT_VALIDATION = 3
-EXIT_INFEASIBLE = 4
-EXIT_DIM_CAP = 5
 
 
 def _amplitude_header(dim: int) -> list[str]:
@@ -97,13 +86,8 @@ def cmd_wgen(cfg: dict, args) -> list[tuple[str, list, list]]:
     elif "n_sites" not in protocol:
         raise ConfigError("protocol.n_sites is required for a site source")
     else:
-        plan = plan_w_from_site(
-            protocol["n_sites"],
-            source,
-            protocol.get("constraint", 0.0),
-            protocol.get("gamma_source", 1.0),
-            **_protocol_options(cfg, "winding", "branch"),
-        )
+        options = _protocol_options(cfg, "constraint", "gamma_source", "winding", "branch")
+        plan = plan_w_from_site(protocol["n_sites"], source, **options)
     network = plan.network
     header = [
         "source",
@@ -167,12 +151,7 @@ def cmd_transfer(cfg: dict, args) -> list[tuple[str, list, list]]:
 def cmd_sweep_aniso(cfg: dict, args) -> list[tuple[str, list, list]]:
     params = cfg_mod.sweep_section(cfg)
     sweep = sweep_anisotropy_ad if params.pop("kind") == "ad" else sweep_anisotropy_b
-    rows = sweep(**params)
-    table = [
-        (row.a, row.d, row.b, row.gamma, row.delta, row.gap, row.status)
-        for row in rows
-    ]
-    return [(args.out, ["a", "d", "b", "gamma", "delta", "gap", "status"], table)]
+    return [(args.out, list(SweepRow._fields), sweep(**params))]
 
 
 def cmd_validate(cfg: dict, args) -> list[tuple[str, list, list]]:
@@ -180,8 +159,9 @@ def cmd_validate(cfg: dict, args) -> list[tuple[str, list, list]]:
     initial = cfg_mod.initial_state_from_config(cfg, network)
     times = cfg_mod.grid_from_config(cfg, "time")
     convention = cfg_mod.z_convention_from_config(cfg)
-    report = cross_validate(network, initial, times, z_convention=convention)
-    return [(args.out, ["check", "max_deviation", "threshold", "pass"], report.rows())]
+    checks = cross_validate(network, initial, times, z_convention=convention)
+    rows = [(c.name, c.max_deviation, c.threshold, c.passed) for c in checks]
+    return [(args.out, ["check", "max_deviation", "threshold", "pass"], rows)]
 
 
 COMMANDS = {
@@ -228,24 +208,12 @@ def main(argv=None) -> int:
         cfg = cfg_mod.load_config(args.config)
         outputs = COMMANDS[args.command](cfg, args)
         _write_all(outputs)
-    except ConfigError as exc:
-        print(f"error [config]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DimensionCapError as exc:
-        print(f"error [dimension-cap]: {exc}", file=sys.stderr)
-        return EXIT_DIM_CAP
-    except InfeasibleError as exc:
-        print(f"error [infeasible]: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValidationError as exc:
-        print(f"error [validation]: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except RingStarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        print(f"error [{exc.label}]: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:  # the config reader raises ConfigError for its own
         print(f"error [output]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
     for path, _, rows in outputs:
         print(f"wrote {path} ({len(rows)} rows)")
     return 0

@@ -141,7 +141,13 @@ def parse_grid(value: Any, where: str) -> np.ndarray:
 
 
 def grid_from_config(cfg: dict, name: str) -> np.ndarray:
-    return _get(_section(cfg, "grids", SECTION_KEYS["grids"]), name, "grids", parse_grid)
+    """Grid `name`, once every grid the section gives parses (in the order of
+    _GRIDS, so the first fault reported does not depend on string hashing)."""
+    grids = _section(cfg, "grids", _GRIDS)
+    parsed = _given(grids, "grids", dict.fromkeys(_GRIDS, parse_grid))
+    if name not in parsed:
+        raise ConfigError(f"grids.{name} is required")
+    return parsed[name]
 
 
 def dim_cap_from_config(cfg: dict) -> int:
@@ -329,6 +335,7 @@ _SWEEP_KEYS = {
     "b": {"b_values", "a", "d", "reference", "tuned_sites"},
 }
 
+_GRIDS = ("time", "delta")
 # the keys each section may hold under any command: one file can feed several
 # commands (configs/center-w.json gives wgen protocol.source and evolve
 # protocol.initial), so `load_config` checks every section against the union
@@ -336,7 +343,7 @@ SECTION_KEYS = {
     "effective": {"gammas", "deltas"},
     "microscopic": {"central", "rings", "linkers"},
     "protocol": set(PROTOCOL_KEYS),
-    "grids": {"time", "delta"},
+    "grids": set(_GRIDS),
     "sweep": _SWEEP_SHARED.union(*_SWEEP_KEYS.values()),
 }
 TOP_LEVEL_KEYS = {"mode", "z_convention", "coupling_scale", "dim_cap", *SECTION_KEYS}

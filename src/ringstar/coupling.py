@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,9 +127,9 @@ def star_from_rings(
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One anisotropy-sweep grid point; unused parameters stay None.
+class SweepRow(NamedTuple):
+    """One anisotropy-sweep grid point, its fields in CSV column order; unused
+    parameters stay None.
 
     status is "ok", "no-doublet" (the ring has no isolated ground doublet, so
     no gap) or "divergent" (the transverse sum vanishes; the gap is kept).

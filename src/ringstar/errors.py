@@ -1,12 +1,15 @@
 """Exception hierarchy.
 
-Four broad categories, matching the command-line exit codes:
+Four broad categories.  Each carries its command-line exit code and the label
+`cli.main` prints as the class attributes `exit_code` and `label`, and every
+subclass inherits its family's; an error of no narrower family, a bare
+RingStarError, exits as a validation failure:
 
-  ConfigError          malformed input files or schemas        (exit 2)
-  ValidationError      inputs violate a documented contract    (exit 3)
+  ConfigError          malformed input files or schemas        (exit 2, config)
+  ValidationError      inputs violate a documented contract    (exit 3, validation)
   InfeasibleError      valid inputs, but the requested physics
-                       has no solution                         (exit 4)
-  DimensionCapError    requested Hilbert space exceeds the cap (exit 5)
+                       has no solution                         (exit 4, infeasible)
+  DimensionCapError    requested Hilbert space exceeds the cap (exit 5, dimension-cap)
 """
 from __future__ import annotations
 
@@ -14,9 +17,15 @@ from __future__ import annotations
 class RingStarError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 3  # ValidationError's values, which it inherits
+    label = "validation"
+
 
 class ConfigError(RingStarError):
     """A configuration file is malformed or violates the schema."""
+
+    exit_code = 2
+    label = "config"
 
 
 class ValidationError(RingStarError, ValueError):
@@ -39,6 +48,9 @@ class ConstraintError(ValidationError):
 class InfeasibleError(RingStarError):
     """The requested protocol or coupling regime has no solution."""
 
+    exit_code = 4
+    label = "infeasible"
+
 
 class AnisotropyDivergenceError(InfeasibleError):
     """The transverse matrix-element sum vanishes, so the anisotropy is
@@ -47,3 +59,6 @@ class AnisotropyDivergenceError(InfeasibleError):
 
 class DimensionCapError(RingStarError):
     """The requested Hilbert-space dimension exceeds the configured cap."""
+
+    exit_code = 5
+    label = "dimension-cap"

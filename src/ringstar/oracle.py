@@ -146,18 +146,6 @@ class CheckResult:
         return self.max_deviation <= self.threshold
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed is not False for c in self.checks)
-
-    def rows(self) -> list[tuple[str, float, float | None, bool | None]]:
-        return [(c.name, c.max_deviation, c.threshold, c.passed) for c in self.checks]
-
-
 def krylov_project(
     h_full: FullSpaceHamiltonian, full_state, times, n_sites: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -198,8 +186,8 @@ def cross_validate(
     initial,
     times,
     z_convention: str = "halfspin",
-) -> ValidationReport:
-    """Three-way comparison of the propagation routes.
+) -> tuple[CheckResult, ...]:
+    """Three-way comparison of the propagation routes, one check each.
 
     closed_form_vs_spectral: `propagate`'s closed form, which every command
     uses, against its numerical route (when the constraint holds; at 1e-9).
@@ -232,4 +220,4 @@ def cross_validate(
     checks.append(CheckResult("subspace_vs_fullspace", dev_full, threshold))
     worst_leak = float(leakage.max())
     checks.append(CheckResult("excitation_leakage", worst_leak, LEAKAGE_THRESHOLD))
-    return ValidationReport(checks=tuple(checks))
+    return tuple(checks)

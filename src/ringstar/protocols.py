@@ -37,14 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .star import (
-    StarNetwork,
-    basis_state,
-    closed_form_from_center,
-    closed_form_from_site,
-    evolve_subspace,
-    propagate,
-)
+from .star import StarNetwork, basis_state, evolve_subspace, propagate
 
 # Baseline for the fluctuation study (chosen so the relative generation error
 # at |fractional fluctuation| = 0.1 sits near 0.1; see the decision record).
@@ -119,7 +112,7 @@ def plan_w_from_center(network: StarNetwork, winding: int = 0) -> WGenerationPla
             "center-sourced generation needs equal positive couplings"
         )
     t_w = (2 * winding + 1) * math.pi / network.omega
-    state = closed_form_from_center(network, [t_w])[0]
+    state = propagate(network, basis_state(network, network.dim), [t_w], "analytic")[0]
     return WGenerationPlan(
         source="center",
         t_w=t_w,
@@ -221,7 +214,7 @@ def _site_plan_at_winding(
     t_w = 4.0 * winding * math.pi / math.sqrt(
         4.0 * omega**2 + constraint**2 * (n_sites - 1) ** 2
     )
-    state = closed_form_from_site(network, source, [t_w])[0]
+    state = propagate(network, basis_state(network, source), [t_w], "analytic")[0]
     populations = np.abs(state[:n_sites]) ** 2
     if abs(state[n_sites]) > 1e-8 or np.abs(populations - 1.0 / n_sites).max() > 1e-8:
         raise InfeasibleError(
@@ -244,8 +237,8 @@ def _site_plan_at_winding(
 def plan_w_from_site(
     n_sites: int,
     source: int,
-    constraint: float,
-    gamma_source: float,
+    constraint: float = 0.0,
+    gamma_source: float = 1.0,
     winding: int | None = None,
     branch: str = "plus",
 ) -> WGenerationPlan:

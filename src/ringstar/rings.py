@@ -55,28 +55,6 @@ def _check_spin(s: float) -> float:
     return two_s / 2.0
 
 
-def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tau_x, tau_y, tau_z) for one spin-s site.
-
-    tau_z is diagonal with entries s, s-1, ..., -s; the ladder elements are
-    the standard sqrt(s(s+1) - m(m+1)).
-    """
-    s = _check_spin(s)
-    dim = int(round(2 * s)) + 1
-    m = s - np.arange(dim)
-    raising = np.zeros((dim, dim), dtype=np.complex128)
-    if dim > 1:
-        src = m[1:]
-        raising[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(
-            s * (s + 1) - src * (src + 1)
-        )
-    lowering = raising.conj().T
-    sx = (raising + lowering) / 2
-    sy = (raising - lowering) / 2j
-    sz = np.diag(m).astype(np.complex128)
-    return sx, sy, sz
-
-
 @dataclass(frozen=True)
 class RingSpec:
     """One ring: site spins, bond exchange strengths, uniaxial site terms.

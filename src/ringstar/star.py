@@ -232,6 +232,7 @@ def propagate(
     return np.outer(dark_phase, dark) + np.exp(-1j * np.outer(t, values)) @ bright.T
 
 
+# perfbench's WRAPPED names it and counts its calls from protocols (ROADMAP item 5)
 def evolve_subspace(
     network: StarNetwork, state, time: float, method: str = "auto"
 ) -> np.ndarray:
@@ -250,6 +251,7 @@ def phase_angles(network: StarNetwork, time: float) -> tuple[float, float]:
     return omega * a * time / 2.0, omega * time / (2.0 * a)
 
 
+# kept only because perfbench's WRAPPED names it (ROADMAP item 5)
 def closed_form_from_site(network: StarNetwork, site: int, times) -> np.ndarray:
     """States over a 1-d time grid after starting in |psi_site> (outer site,
     1-based): row k of the (T, N+1) result is the state at times[k]."""
@@ -259,6 +261,7 @@ def closed_form_from_site(network: StarNetwork, site: int, times) -> np.ndarray:
     return propagate(network, basis_state(network, site), times, "analytic")
 
 
+# kept only because perfbench's WRAPPED names it (ROADMAP item 5)
 def closed_form_from_center(network: StarNetwork, times) -> np.ndarray:
     """States over a 1-d time grid after starting with the excitation on the
     center: row k of the (T, N+1) result is the state at times[k]."""

@@ -1,8 +1,9 @@
 """Slow, independent references for the ring layer.
 
-`site_operator` embeds a single-site matrix into the ring's product space as
-an explicit Kronecker chain, the construction the library's index tables
-(sector layout and -1/2 -> +1/2 ladder table) replace.  `kron_ring_hamiltonian` sums the dense ring Hamiltonian
+`spin_operators` forms the dense spin matrices of one site, which the library
+never builds, and `site_operator` embeds a single-site matrix into the ring's
+product space as an explicit Kronecker chain, the construction the library's
+index tables (sector layout and -1/2 -> +1/2 ladder table) replace.  `kron_ring_hamiltonian` sums the dense ring Hamiltonian
 from those chains, and `reference_encoding` takes the ground doublet from
 its full eigendecomposition, the route the library's sector solver replaces.
 `scatter` turns the library's sector blocks back into one dense matrix.
@@ -21,11 +22,33 @@ import numpy as np
 
 from ringstar.errors import GroundDoubletError
 from ringstar.linalg import max_entry_norm
-from ringstar.rings import DENSE_SECTOR_MAX, _lowest_levels, spin_operators
+from ringstar.rings import DENSE_SECTOR_MAX, _check_spin, _lowest_levels
 
 # the library's doublet window, restated: levels within this fraction of the
 # largest Hamiltonian entry count as one multiplet
 CLUSTER_RTOL = 1e-8
+
+
+def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tau_x, tau_y, tau_z) for one spin-s site.
+
+    tau_z is diagonal with entries s, s-1, ..., -s; the ladder elements are
+    the standard sqrt(s(s+1) - m(m+1)).
+    """
+    s = _check_spin(s)
+    dim = int(round(2 * s)) + 1
+    m = s - np.arange(dim)
+    raising = np.zeros((dim, dim), dtype=np.complex128)
+    if dim > 1:
+        src = m[1:]
+        raising[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(
+            s * (s + 1) - src * (src + 1)
+        )
+    lowering = raising.conj().T
+    sx = (raising + lowering) / 2
+    sy = (raising - lowering) / 2j
+    sz = np.diag(m).astype(np.complex128)
+    return sx, sy, sz
 
 
 def site_operator(op: np.ndarray, site: int, dims: tuple[int, ...]) -> np.ndarray:

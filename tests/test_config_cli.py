@@ -1,5 +1,6 @@
 """Config parsing, CSV serialization, and the command-line front end."""
 
+import argparse
 import json
 import math
 import os
@@ -28,7 +29,16 @@ from ringstar.config import (
     z_convention_from_config,
 )
 from ringstar.coupling import Linker, sweep_anisotropy_ad, sweep_anisotropy_b
-from ringstar.errors import ConfigError, InfeasibleError, ValidationError
+from ringstar.errors import (
+    AnisotropyDivergenceError,
+    ConfigError,
+    ConstraintError,
+    DimensionCapError,
+    GroundDoubletError,
+    InfeasibleError,
+    RingStarError,
+    ValidationError,
+)
 from ringstar.output import format_cell, render_csv, sibling_path
 from ringstar.protocols import (
     fidelity_curve,
@@ -588,7 +598,9 @@ OPTIONAL_KEYS = {
         (("protocol",), "winding", 3, "winding", 3),
         (("protocol",), "branch", "plus", "branch", "plus"),
     ]),
-    "wgen": ({"protocol": {"source": 2, "n_sites": 3, "constraint": 1.0}}, [
+    "wgen": ({"protocol": {"source": 2, "n_sites": 3}}, [
+        (("protocol",), "constraint", 1.0, "constraint", 1.0),
+        (("protocol",), "gamma_source", 2.0, "gamma_source", 2.0),
         (("protocol",), "winding", 3, "winding", 3),
         (("protocol",), "branch", "minus", "branch", "minus"),
     ]),
@@ -609,7 +621,7 @@ def library_csv(command, keywords):
     if command == "sweep-fluct":
         return render_csv(["delta", "E_r"], fluctuation_sweep([-0.05, 0.0, 0.1], **keywords))
     if command == "wgen":
-        plan = plan_w_from_site(3, 2, 1.0, 1.0, **keywords)
+        plan = plan_w_from_site(3, 2, **keywords)
         header = ["source", "winding", "t_w", "coupling_ratio", "chi", "predicted_error",
                   "constraint", "omega"]
         return render_csv(header, [(
@@ -861,6 +873,14 @@ MALFORMED = {
         "evolve", dict(EVOLVE, protocol={"initial": 1, "method": "exact"}), 2),
     "choice-sweep.kind": ("sweep-aniso", {"sweep": dict(B_SWEEP, kind="c")}, 2),
     "non-finite": ("spectrum", micro_config(coupling_scale=math.inf), 3),
+    # a grid the command does not use is checked too
+    "unused-grid-wrong-type": ("evolve", dict(EVOLVE, grids={"time": [0.0], "delta": "abc"}), 2),
+    "unused-grid-non-increasing": (
+        "evolve", dict(EVOLVE, grids={"time": [0.0], "delta": [0.1, 0.0]}), 3),
+    "unused-grid-missing-key": (
+        "sweep-fluct", {"grids": {"time": {"start": 0.0, "stop": 1.0}, "delta": [0.0]}}, 2),
+    "unused-grid-repeated-point": (
+        "sweep-fluct", {"grids": {"time": [1.0, 1.0], "delta": [0.0]}}, 3),
 }
 
 
@@ -869,6 +889,63 @@ def test_cli_malformed_config_exit_codes(tmp_path, command, payload, code):
     cfg = write_json(tmp_path / "cfg.json", payload)
     assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "x.csv")) == code
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+X1 = {"x": 1}
+# one error per family and per subclass that a command can raise: command,
+# config, the class raised, and the exit code and label `cli.main` reports
+ERROR_FAMILIES = {
+    "unknown-key": ("spectrum", dict(EFFECTIVE, extra=1), ConfigError, 2, "config"),
+    "non-increasing-grid": (
+        "evolve", dict(EVOLVE, grids={"time": [1.0, 0.5]}), ValidationError, 3, "validation"),
+    "analytic-off-constraint": (
+        "evolve",
+        dict(EVOLVE, effective={"gammas": [0.7, 1.3, 2.1], "deltas": [0.2, -0.4, 0.9]},
+             protocol={"initial": 1, "method": "analytic"}),
+        ConstraintError, 3, "validation"),
+    "no-ground-doublet": (
+        "spectrum", micro_config(microscopic=dict(micro_config()["microscopic"],
+                                                  central={"x": 2})),
+        GroundDoubletError, 3, "validation"),
+    "unequal-center-couplings": (
+        "wgen", dict(EFFECTIVE, effective={"gammas": [1.0, 2.0, 1.0], "deltas": [-1.0] * 3}),
+        InfeasibleError, 4, "infeasible"),
+    "divergent-anisotropy": (
+        "spectrum",
+        micro_config(microscopic={"central": X1, "rings": [X1, X1], "linkers": [[
+            {"ring_site": 1, "central_site": 2, "strength": 1.0},
+            {"ring_site": 1, "central_site": 2, "strength": -1.0}]] * 2}),
+        AnisotropyDivergenceError, 4, "infeasible"),
+    "dimension-cap": (
+        "spectrum", micro_config(microscopic=dict(micro_config()["microscopic"],
+                                                  central={"x": 3}), dim_cap=100),
+        DimensionCapError, 5, "dimension-cap"),
+}
+
+
+@pytest.mark.parametrize("command, payload, error, code, label",
+                         ERROR_FAMILIES.values(), ids=ERROR_FAMILIES)
+def test_cli_reports_each_error_family_by_its_code_and_label(
+    tmp_path, capsys, command, payload, error, code, label
+):
+    cfg = write_json(tmp_path / "cfg.json", payload)
+    out = str(tmp_path / "x.csv")
+    with pytest.raises(error) as raised:
+        cli.COMMANDS[command](load_config(cfg), argparse.Namespace(out=out))
+    assert (raised.value.exit_code, raised.value.label) == (code, label)
+    assert run_cli(command, "--config", cfg, "--out", out) == code
+    assert capsys.readouterr().err.startswith(f"error [{label}]: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_a_bare_package_error_exits_as_a_validation_failure(tmp_path, monkeypatch, capsys):
+    def unclassified(cfg, args):
+        raise RingStarError("no narrower family")
+
+    monkeypatch.setitem(cli.COMMANDS, "spectrum", unclassified)
+    cfg = effective_uniform(tmp_path)
+    assert run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 3
+    assert capsys.readouterr().err == "error [validation]: no narrower family\n"
 
 
 def test_cli_dimension_cap_exit(tmp_path):

@@ -177,17 +177,17 @@ def test_cross_validate_transverse_network():
     net = uniform_star(3, 1.0)
     start = np.zeros(4, dtype=complex)
     start[3] = 1.0
-    report = cross_validate(net, start, [0.0, 0.7, 2.9])
-    names = [c.name for c in report.checks]
+    checks = cross_validate(net, start, [0.0, 0.7, 2.9])
+    names = [c.name for c in checks]
     assert names == [
         "closed_form_vs_spectral",
         "subspace_vs_fullspace",
         "excitation_leakage",
     ]
-    for check in report.checks:
+    for check in checks:
         assert check.threshold is not None
         assert check.passed is True
-    assert report.all_passed
+    assert all(c.passed is not False for c in checks)
 
 
 def test_cross_validate_zero_coupling_site():
@@ -196,9 +196,9 @@ def test_cross_validate_zero_coupling_site():
     )
     start = np.zeros(4, dtype=complex)
     start[0] = 1.0
-    report = cross_validate(net, start, np.linspace(0.0, 3.0, 7))
-    assert report.all_passed
-    assert all(c.passed is True for c in report.checks)
+    checks = cross_validate(net, start, np.linspace(0.0, 3.0, 7))
+    assert all(c.passed is not False for c in checks)
+    assert all(c.passed is True for c in checks)
 
 
 def test_cross_validate_nonzero_constraint_reports_without_asserting():
@@ -207,23 +207,23 @@ def test_cross_validate_nonzero_constraint_reports_without_asserting():
     start = np.zeros(3, dtype=complex)
     start[0] = 1.0
     for convention in ("halfspin", "pauli"):
-        report = cross_validate(net, start, [1.3], z_convention=convention)
-        by_name = {c.name: c for c in report.checks}
+        checks = cross_validate(net, start, [1.3], z_convention=convention)
+        by_name = {c.name: c for c in checks}
         assert by_name["closed_form_vs_spectral"].passed is True
         full_check = by_name["subspace_vs_fullspace"]
         assert full_check.threshold is None
         assert full_check.passed is None
         assert full_check.max_deviation > 1e-3  # genuinely different dynamics
         assert by_name["excitation_leakage"].passed is True
-        assert report.all_passed  # unasserted rows do not fail the report
+        assert all(c.passed is not False for c in checks)  # unasserted rows do not fail the report
 
 
 def test_cross_validate_skips_closed_form_without_constraint():
     net = StarNetwork(gammas=np.array([1.0, 1.0]), deltas=np.array([0.0, -0.5]))
     start = np.zeros(3, dtype=complex)
     start[2] = 1.0
-    report = cross_validate(net, start, [0.5])
-    names = [c.name for c in report.checks]
+    checks = cross_validate(net, start, [0.5])
+    names = [c.name for c in checks]
     assert "closed_form_vs_spectral" not in names
     assert len(names) == 2
 

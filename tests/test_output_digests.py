@@ -67,3 +67,19 @@ def test_a_comparison_exits_1_when_a_run_differs_or_is_missing(tmp_path, monkeyp
     assert tool.main(argv) == 1
     current.clear()
     assert tool.main(argv) == 1
+
+
+def test_a_comparison_exits_1_when_only_the_stderr_text_differs(tmp_path, monkeypatch, capsys):
+    tool = _load_tool()
+    base = {"configs/x.json/wgen": {"command": "wgen", "exit": 4, "outputs": {},
+                                    "stderr": "error [infeasible]: no ratio\n"}}
+    base_path = tmp_path / "base.json"
+    base_path.write_text(json.dumps(base), encoding="utf-8")
+    current = json.loads(json.dumps(base))
+    monkeypatch.setattr(tool, "record", lambda root: current)  # runs no job
+    argv = [str(tmp_path / "out.json"), "--against", str(base_path)]
+    assert tool.main(argv) == 0
+    current["configs/x.json/wgen"]["stderr"] = "error: no ratio\n"
+    assert tool.main(argv) == 1
+    assert "stderr 'error [infeasible]: no ratio\\n' -> 'error: no ratio\\n'" in (
+        capsys.readouterr().out)

@@ -23,7 +23,6 @@ from ringstar.rings import (
     ground_doublet,
     regauge,
     ring_qubit_encoding,
-    spin_operators,
     total_sz_operator,
 )
 
@@ -34,6 +33,7 @@ from kron_reference import (
     reference_encoding,
     scatter,
     site_operator,
+    spin_operators,
 )
 
 

@@ -45,6 +45,15 @@ def test_every_exported_name_resolves_once():
     assert len(set(ringstar.__all__)) == len(ringstar.__all__)
 
 
+def test_names_kept_only_for_the_tracer_are_not_exported():
+    # these stay defined for `WRAPPED` (ROADMAP item 5) but are no part of the API
+    tracer_only = {
+        "unitary_evolve", "phase_angles", "total_sz_operator", "project_to_subspace",
+        "evolve_subspace", "closed_form_from_site", "closed_form_from_center",
+    }
+    assert not tracer_only & set(ringstar.__all__)
+
+
 def test_full_space_hamiltonian_hook_reads_a_real_result():
     hook = _load_tracing().WRAPPED["oracle"]["full_space_hamiltonian"]
     network = uniform_star(3, 1.0)

@@ -4,12 +4,13 @@
 
 Runs, in one process, every job of the benchmark streams for seeds 1-3
 (`perfbench/streams.py`, imported read-only) and every `configs/*.json` under
-each of the seven commands, and writes OUT.json: per run, the exit code and
-the sha256 of each CSV it wrote, with the CSV text kept (zlib, base64) so a
+each of the seven commands, and writes OUT.json: per run, the exit code, the
+text it printed to stderr (the run directory written as `<run>`) and the
+sha256 of each CSV it wrote, with the CSV text kept (zlib, base64) so a
 later comparison can report numbers.  A stream's `transitions` jobs call
 `b_sweep_evaluator` and `find_delta_transitions` as the benchmark does, and
 their result is kept as the CSV `b,kind,rising` (floats as %.17g).  With
---against, prints every run whose exit code or bytes differ from BASE.json
+--against, prints every run whose exit code, stderr or bytes differ from BASE.json
 and, per command, the largest absolute and the largest relative change in a
 numeric cell (relative to the BASE.json value; a cell whose base magnitude
 is below 1e-9 of the largest in its column counts only in the absolute
@@ -89,12 +90,13 @@ def record(root: str) -> dict:
             if command == "transitions":
                 with open(os.path.join(rundir, "transitions.csv"), "wb") as fh:
                     fh.write(transitions_csv(ringstar.coupling, json.loads(config)))
-                code = 0
+                code, stderr = 0, ""
             else:
-                sink = io.StringIO()
-                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     code = ringstar.cli.main([command, "--config", cfg_path,
                                               "--out", os.path.join(rundir, "out.csv")])
+                stderr = err.getvalue().replace(rundir, "<run>")
             outputs = {}
             for name in sorted(os.listdir(rundir)):
                 if name != "config.json":
@@ -104,7 +106,8 @@ def record(root: str) -> dict:
                         "sha256": hashlib.sha256(data).hexdigest(),
                         "csv": base64.b64encode(zlib.compress(data)).decode(),
                     }
-            results[run_id] = {"command": command, "exit": code, "outputs": outputs}
+            results[run_id] = {"command": command, "exit": code, "stderr": stderr,
+                               "outputs": outputs}
     return results
 
 
@@ -160,6 +163,8 @@ def compare(base: dict, current: dict) -> int:
         notes = []
         if old["exit"] != new["exit"]:
             notes.append(f"exit {old['exit']} -> {new['exit']}")
+        if old.get("stderr") != new.get("stderr"):
+            notes.append(f"stderr {old.get('stderr')!r} -> {new.get('stderr')!r}")
         for name in sorted(set(old["outputs"]) | set(new["outputs"])):
             o, n = old["outputs"].get(name), new["outputs"].get(name)
             if o is None or n is None:

@@ -48,6 +48,31 @@ class EffectivePair:
     delta: float
 
 
+def _check_linkers(linkers: Sequence[Linker], n_ring: int, n_central: int) -> None:
+    """Refuse an empty linker set or a site outside either ring."""
+    if len(linkers) == 0:
+        raise ValidationError("need at least one linker")
+    for link in linkers:
+        if not 0 <= link.ring_site - 1 < n_ring:
+            raise ValidationError(f"linker ring site {link.ring_site} out of range")
+        if not 0 <= link.central_site - 1 < n_central:
+            raise ValidationError(
+                f"linker central site {link.central_site} out of range"
+            )
+
+
+def _pair(x_sum, z_sum, max_strength: float, scale: float) -> EffectivePair:
+    """(gamma, Delta) from the transverse and zz sums, or a divergence when the
+    transverse sum vanishes against the largest linker strength."""
+    if abs(x_sum) < DIVERGENCE_RTOL * max(max_strength, 1e-300):
+        raise AnisotropyDivergenceError(
+            f"transverse sum {abs(x_sum):.3e} vanishes for these linkers; "
+            "the anisotropy is undefined"
+        )
+    gamma = float(scale) * float(x_sum.real)
+    return EffectivePair(gamma, 1.0 - float((z_sum / x_sum).real))
+
+
 def effective_coupling(
     ring_elements: SiteMatrixElements,
     central_elements: SiteMatrixElements,
@@ -55,33 +80,17 @@ def effective_coupling(
     scale: float = 1.0,
 ) -> EffectivePair:
     """Compress a set of linkers onto the two doublets."""
-    if len(linkers) == 0:
-        raise ValidationError("need at least one linker")
-    x_sum = 0.0
-    z_sum = 0.0
-    max_strength = 0.0
+    _check_linkers(linkers, ring_elements.x10.size, central_elements.x10.size)
+    x_sum = z_sum = max_strength = 0.0
     for link in linkers:
         m = link.ring_site - 1
         n = link.central_site - 1
-        if not 0 <= m < ring_elements.x10.size:
-            raise ValidationError(f"linker ring site {link.ring_site} out of range")
-        if not 0 <= n < central_elements.x10.size:
-            raise ValidationError(
-                f"linker central site {link.central_site} out of range"
-            )
         x_sum += link.strength * ring_elements.x10[m] * np.conj(
             central_elements.x10[n]
         )
         z_sum += link.strength * ring_elements.z00[m] * central_elements.z00[n]
         max_strength = max(max_strength, abs(link.strength))
-    if abs(x_sum) < DIVERGENCE_RTOL * max(max_strength, 1e-300):
-        raise AnisotropyDivergenceError(
-            f"transverse sum {abs(x_sum):.3e} vanishes for these linkers; "
-            "the anisotropy is undefined"
-        )
-    gamma = float(scale) * float(x_sum.real)
-    delta = 1.0 - float((z_sum / x_sum).real)
-    return EffectivePair(gamma=gamma, delta=delta)
+    return _pair(x_sum, z_sum, max_strength, scale)
 
 
 def ring_pair_coupling(
@@ -146,18 +155,20 @@ class SweepRow(NamedTuple):
 
 
 def _sweep_rows(
-    spec: RingSpec, a: float, d: float, b_links: Iterable, scale: float, dim_cap: int
+    spec: RingSpec, a: float, d: float, b_values: list, rule: Callable, dim_cap: int
 ) -> list[SweepRow]:
-    """Rows of `spec` coupled to itself, one per (b, linkers), from one encoding:
-    a missing doublet fails every row, a vanishing transverse sum only its own."""
+    """Rows of `spec` coupled to itself, one per b, from one encoding whose elements
+    `rule` turns into b -> pair: a missing doublet fails every row, a vanishing
+    transverse sum only its own."""
     try:
         enc, elems = ring_qubit_encoding(spec, dim_cap=dim_cap)
     except GroundDoubletError:
-        return [SweepRow(a, d, b, None, None, None, "no-doublet") for b, _ in b_links]
+        return [SweepRow(a, d, b, None, None, None, "no-doublet") for b in b_values]
+    evaluate = rule(elems)
     rows = []
-    for b, links in b_links:
+    for b in b_values:
         try:
-            pair = effective_coupling(elems, elems, links, scale=scale)
+            pair = evaluate(b)
         except AnisotropyDivergenceError:
             rows.append(SweepRow(a, d, b, None, None, enc.gap, "divergent"))
         else:
@@ -178,21 +189,20 @@ def sweep_anisotropy_ad(
     """Effective (gamma, Delta) over a grid of bond ratio a and site term d.
 
     Both rings of the pair share the same structure, so each grid point costs
-    one diagonalization.
+    one diagonalization.  The linkers are checked before any.
     """
+    _check_linkers(linkers, x + 1, x + 1)
+
+    def rule(elems: SiteMatrixElements) -> Callable[[None], EffectivePair]:
+        return lambda _: effective_coupling(elems, elems, linkers, scale=scale)
+
     rows = []
     for a in a_values:
         for d in d_values:
             spec = RingSpec.cr_ni(
-                x,
-                exchange=exchange,
-                ratio=float(a),
-                crystal_field=float(d),
-                symmetric_substitute_bonds=symmetric_substitute_bonds,
+                x, exchange, float(a), float(d), symmetric_substitute_bonds
             )
-            rows += _sweep_rows(
-                spec, float(a), float(d), [(None, linkers)], scale, dim_cap
-            )
+            rows += _sweep_rows(spec, float(a), float(d), [None], rule, dim_cap)
     return rows
 
 
@@ -204,22 +214,29 @@ def _b_path(
     reference: Linker,
     tuned_sites: tuple[int, int] | None,
     symmetric_substitute_bonds: bool,
-) -> tuple[RingSpec, Callable[[float], list[Linker]]]:
-    """The ring shared by both sides of a b sweep, and the link rule b ->
-    [reference, linker on tuned_sites (default x + 1, x + 1) of b * reference]."""
-    spec = RingSpec.cr_ni(
-        x,
-        exchange=exchange,
-        ratio=a,
-        crystal_field=d,
-        symmetric_substitute_bonds=symmetric_substitute_bonds,
-    )
+    scale: float,
+) -> tuple[RingSpec, Callable]:
+    """The ring of a b sweep, its sites checked before any ED, and the rule elements
+    -> (b -> pair) of [reference, b * reference on tuned_sites (default x + 1, x + 1)],
+    which adds precomputed terms in `effective_coupling`'s order, bit for bit."""
+    spec = RingSpec.cr_ni(x, exchange, a, d, symmetric_substitute_bonds)
     m, n = (x + 1, x + 1) if tuned_sites is None else tuned_sites
+    _check_linkers([reference, Linker(m, n, 0.0)], x + 1, x + 1)
+    s, r, c = reference.strength, reference.ring_site - 1, reference.central_site - 1
 
-    def links(b: float) -> list[Linker]:
-        return [reference, Linker(m, n, float(b) * reference.strength)]
+    def rule(elems: SiteMatrixElements) -> Callable[[float], EffectivePair]:
+        x10, z00 = elems.x10.tolist(), elems.z00.tolist()
+        x_ref, z_ref = 0.0 + s * x10[r] * x10[c].conjugate(), 0.0 + s * z00[r] * z00[c]
+        x_m, x_n, z_m, z_n = x10[m - 1], x10[n - 1].conjugate(), z00[m - 1], z00[n - 1]
 
-    return spec, links
+        def evaluate(b: float) -> EffectivePair:
+            t = float(b) * s
+            x_sum, z_sum = x_ref + t * x_m * x_n, z_ref + t * z_m * z_n
+            return _pair(x_sum, z_sum, max(0.0, abs(s), abs(t)), scale)
+
+        return evaluate
+
+    return spec, rule
 
 
 def b_sweep_evaluator(
@@ -239,15 +256,10 @@ def b_sweep_evaluator(
     the substituted site x + 1 of both rings), so b = J_tuned / J_reference.
     The underlying ring pair is diagonalized once.
     """
-    spec, links = _b_path(
-        x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds
+    spec, rule = _b_path(
+        x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds, scale
     )
-    _, elems = ring_qubit_encoding(spec, dim_cap=dim_cap)
-
-    def evaluate(b: float) -> EffectivePair:
-        return effective_coupling(elems, elems, links(b), scale=scale)
-
-    return evaluate
+    return rule(ring_qubit_encoding(spec, dim_cap=dim_cap)[1])
 
 
 def sweep_anisotropy_b(
@@ -263,11 +275,11 @@ def sweep_anisotropy_b(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> list[SweepRow]:
     """Effective (gamma, Delta) against the two-linker strength ratio b."""
-    spec, links = _b_path(
-        x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds
+    spec, rule = _b_path(
+        x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds, scale
     )
-    b_links = ((float(b), links(b)) for b in b_values)
-    return _sweep_rows(spec, float(a), float(d), b_links, scale, dim_cap)
+    b_values = [float(b) for b in b_values]
+    return _sweep_rows(spec, float(a), float(d), b_values, rule, dim_cap)
 
 
 @dataclass(frozen=True)

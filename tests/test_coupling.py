@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from ringstar import coupling
 from ringstar.coupling import (
     Linker,
+    SweepRow,
     b_sweep_evaluator,
     effective_coupling,
     find_delta_transitions,
@@ -289,6 +291,110 @@ def test_b_sweep_matches_evaluator():
         pair = ev(b)
         assert row.gamma == pytest.approx(pair.gamma, rel=1e-12)
         assert row.delta == pytest.approx(pair.delta, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=st.sampled_from([1, 3]),
+    sites=st.tuples(*[st.integers(min_value=0, max_value=3)] * 4),
+    on_reference=st.booleans(),
+    strength=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+    d=st.floats(-0.5, 0.5),
+    scale=st.floats(0.1, 10.0),
+    # with the tuned linker on the reference's sites the pole is b = -1 exactly
+    bs=st.lists(st.floats(-7.0, 4.0) | st.sampled_from([-1.0, 0.0]), max_size=20),
+)
+@example(x=3, sites=(3, 3, 0, 0), on_reference=True, strength=-1.5, d=0.3,
+         scale=1.0, bs=[-1.0, 0.5])
+def test_property_b_evaluator_is_effective_coupling_bit_for_bit(
+    x, sites, on_reference, strength, d, scale, bs
+):
+    n = x + 1
+    reference = Linker(1 + sites[0] % n, 1 + sites[1] % n, strength)
+    tuned = (1 + sites[2] % n, 1 + sites[3] % n)
+    if on_reference:
+        tuned = (reference.ring_site, reference.central_site)
+    ev = b_sweep_evaluator(
+        x=x, d=d, reference=reference, tuned_sites=tuned, scale=scale
+    )
+    _, elems = ring_qubit_encoding(RingSpec.cr_ni(x, crystal_field=d))
+    for b in bs:
+        links = [reference, Linker(*tuned, b * strength)]
+        try:
+            want = effective_coupling(elems, elems, links, scale=scale)
+        except AnisotropyDivergenceError:
+            with pytest.raises(AnisotropyDivergenceError):
+                ev(b)
+            continue
+        assert not (on_reference and b == -1.0)  # the exact pole must diverge
+        got = ev(b)
+        assert (got.gamma, got.delta) == (want.gamma, want.delta)
+
+
+def per_b_rows(b_values, reference, tuned_sites, x=3):
+    """`sweep_anisotropy_b`'s rows at its default a and d, one
+    `effective_coupling` call per b."""
+    enc, elems = ring_qubit_encoding(RingSpec.cr_ni(x))
+    rows = []
+    for b in b_values:
+        links = [reference, Linker(*tuned_sites, b * reference.strength)]
+        try:
+            pair = effective_coupling(elems, elems, links)
+        except AnisotropyDivergenceError:
+            rows.append(SweepRow(0.9, 0.3, b, None, None, enc.gap, "divergent"))
+        else:
+            rows.append(SweepRow(0.9, 0.3, b, pair.gamma, pair.delta, enc.gap, "ok"))
+    return rows
+
+
+@pytest.mark.parametrize("x", [1, 3])
+def test_b_sweep_rows_equal_per_b_effective_coupling_rows(x, monkeypatch):
+    calls = []
+    monkeypatch.setattr(coupling, "b_sweep_evaluator", lambda *a, **k: calls.append(k))
+    bs = [-2.5, -1.0, 0.0, 0.5, 3.0]
+    # tuned linker on the reference's sites: b = -1 is exactly the pole
+    reference = Linker(1, 2, -0.8)
+    rows = sweep_anisotropy_b(bs, x=x, reference=reference, tuned_sites=(1, 2))
+    assert rows == per_b_rows(bs, reference, (1, 2), x=x)
+    assert [row.status for row in rows] == ["ok", "divergent", "ok", "ok", "ok"]
+    assert rows[1].gap is not None
+    # default reference and tuned sites (x + 1, x + 1)
+    rows = sweep_anisotropy_b(bs, x=x)
+    assert rows == per_b_rows(bs, Linker(1, 2, 1.0), (x + 1, x + 1), x=x)
+    # the sweep never goes through the public evaluator the tracer counts
+    assert calls == []
+
+
+def test_b_sweep_without_a_doublet_keeps_every_b():
+    rows = sweep_anisotropy_b([0.0, 1.0], x=2)
+    assert rows == [
+        SweepRow(0.9, 0.3, b, None, None, None, "no-doublet") for b in (0.0, 1.0)
+    ]
+
+
+def test_sweeps_check_linker_sites_before_any_ed(encoded):
+    # x = 2 rings have no doublet: before the check, these gave "no-doublet"
+    # rows, and the x = 1 evaluator failed only on its first call
+    b_cases = [
+        ({"x": 2, "tuned_sites": (9, 9)}, "linker ring site 9 out of range"),
+        ({"x": 2, "tuned_sites": (1, 0)}, "linker central site 0 out of range"),
+        ({"x": 1, "tuned_sites": (9, 9)}, "linker ring site 9 out of range"),
+        ({"x": 1, "reference": Linker(1, 3, 1)}, "linker central site 3 out of range"),
+    ]
+    for keywords, message in b_cases:
+        with pytest.raises(ValidationError, match=message):
+            sweep_anisotropy_b([0.0, 1.0], **keywords)
+        with pytest.raises(ValidationError, match=message):
+            b_sweep_evaluator(**keywords)
+    ad_cases = [
+        ([Linker(9, 9, 1.0)], "linker ring site 9 out of range"),
+        ([Linker(1, 4, 1.0)], "linker central site 4 out of range"),
+        ([], "need at least one linker"),
+    ]
+    for linkers, message in ad_cases:
+        with pytest.raises(ValidationError, match=message):
+            sweep_anisotropy_ad([0.9], [0.3], linkers, x=2)
+    assert encoded == []
 
 
 def test_ad_sweep_grid_shape_and_consistency():

@@ -6,9 +6,12 @@ the command reads it, and each section is read by one function, which
 type-checks every key it allows, whether or not the command uses it.
 Structural problems (unknown keys, wrong types, a bool where a number
 belongs, missing keys or sections, a string outside its choices) raise
-ConfigError; values that parse but fall outside their documented ranges
-(non-finite numbers, non-increasing grids, site indices out of bounds) raise
-ValidationError.  The split matches the process exit codes 2 and 3.
+ConfigError; non-finite numbers, bad grids, a dim_cap below 2 and an alpha
+without a block of 2 raise ValidationError.  The split matches the process
+exit codes 2 and 3.  Sites, lengths and ring sizes are not range-checked
+here: the library call that uses a value refuses it (ValidationError), ring
+specs as they are read and sites and lengths once their section has parsed,
+so a structural fault anywhere in that section is reported first.
 """
 from __future__ import annotations
 
@@ -175,32 +178,22 @@ def ring_spec_from_config(obj: Any, where: str) -> RingSpec:
     if "x" in _typed(obj, dict, where):
         _check_keys(obj, {"x", *_SHORTHAND_KEYS}, where)
         x = _get(obj, "x", where, int)
-        if x < 1:
-            raise ValidationError(f"{where}.x must be >= 1")
         return RingSpec.cr_ni(x, **_given(obj, where, _SHORTHAND_KEYS, _CR_NI_NAMES))
     _check_keys(obj, {"spins", "bonds", "crystal_fields"}, where)
     spins, bonds, fields = (
         tuple(_get(obj, key, where, _number_list))
         for key in ("spins", "bonds", "crystal_fields")
     )
-    try:
-        return RingSpec(sites=spins, bond_couplings=bonds, crystal_fields=fields)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    return RingSpec(sites=spins, bond_couplings=bonds, crystal_fields=fields)
 
 
-def _linker_from_config(obj: Any, where: str, n_ring: int, n_central: int) -> Linker:
+def _linker_from_config(obj: Any, where: str) -> Linker:
     _check_keys(_typed(obj, dict, where), {"ring_site", "central_site", "strength"}, where)
-    link = Linker(
+    return Linker(
         ring_site=_get(obj, "ring_site", where, int),
         central_site=_get(obj, "central_site", where, int),
         strength=_get(obj, "strength", where, float),
     )
-    if not 1 <= link.ring_site <= n_ring:
-        raise ValidationError(f"{where}.ring_site out of range 1..{n_ring}")
-    if not 1 <= link.central_site <= n_central:
-        raise ValidationError(f"{where}.central_site out of range 1..{n_central}")
-    return link
 
 
 def network_from_config(cfg: dict) -> StarNetwork:
@@ -208,8 +201,6 @@ def network_from_config(cfg: dict) -> StarNetwork:
         eff = _section(cfg, "effective", SECTION_KEYS["effective"])
         gammas = _get(eff, "gammas", "effective", _number_list)
         deltas = _get(eff, "deltas", "effective", _number_list)
-        if len(gammas) != len(deltas):
-            raise ValidationError("gammas and deltas must have equal length")
         return StarNetwork(gammas=np.array(gammas), deltas=np.array(deltas))
     micro = _section(cfg, "microscopic", SECTION_KEYS["microscopic"])
     central = _get(micro, "central", "microscopic", ring_spec_from_config)
@@ -217,17 +208,12 @@ def network_from_config(cfg: dict) -> StarNetwork:
         ring_spec_from_config(spec, f"microscopic.rings[{i}]")
         for i, spec in enumerate(_get(micro, "rings", "microscopic", _nonempty_list))
     ]
-    groups = _get(micro, "linkers", "microscopic", list)
-    if len(groups) != len(rings):
-        raise ValidationError("need one linker list per ring")
     linkers = [
         [
-            _linker_from_config(
-                item, f"microscopic.linkers[{i}][{j}]", spec.n_sites, central.n_sites
-            )
+            _linker_from_config(item, f"microscopic.linkers[{i}][{j}]")
             for j, item in enumerate(_nonempty_list(group, f"microscopic.linkers[{i}]"))
         ]
-        for i, (group, spec) in enumerate(zip(groups, rings))
+        for i, group in enumerate(_get(micro, "linkers", "microscopic", list))
     ]
     return star_from_rings(
         central, rings, linkers, **_given(cfg, "", *_SCALE), dim_cap=dim_cap_from_config(cfg)
@@ -299,19 +285,9 @@ def initial_state_from_config(cfg: dict, network: StarNetwork) -> np.ndarray:
     value = protocol_section(cfg).get("initial")
     if value is None:
         raise ConfigError("protocol.initial is required for this command")
-    if value == "center":
-        return basis_state(network, network.n_sites + 1)
-    if isinstance(value, int):
-        if not 1 <= value <= network.n_sites + 1:
-            raise ValidationError(
-                f"protocol.initial site {value} out of range 1..{network.n_sites + 1}"
-            )
-        return basis_state(network, value)
-    if len(value) != network.dim:
-        raise ValidationError(
-            f"protocol.initial needs {network.dim} amplitudes, got {len(value)}"
-        )
-    return as_subspace_state(np.array(value), network.dim)
+    if isinstance(value, list):
+        return as_subspace_state(np.array(value), network.dim)
+    return basis_state(network, network.dim if value == "center" else value)
 
 
 def transfer_section(cfg: dict) -> dict:
@@ -349,13 +325,10 @@ SECTION_KEYS = {
 TOP_LEVEL_KEYS = {"mode", "z_convention", "coupling_scale", "dim_cap", *SECTION_KEYS}
 
 
-def _site_pair(pair: Any, where: str, n_ring: int) -> tuple[int, int]:
+def _site_pair(pair: Any, where: str) -> tuple[int, int]:
     if len(_typed(pair, list, where)) != 2:
         raise ConfigError(f"{where} must be a pair of integers")
-    sites = tuple(_typed(v, int, where) for v in pair)
-    if any(not 1 <= v <= n_ring for v in sites):
-        raise ValidationError(f"{where} out of range 1..{n_ring}")
-    return sites
+    return tuple(_typed(v, int, where) for v in pair)
 
 
 def sweep_section(cfg: dict) -> dict:
@@ -363,23 +336,18 @@ def sweep_section(cfg: dict) -> dict:
     keyword arguments of `sweep_anisotropy_<kind>` plus 'kind' itself."""
     kind = _choice(_get(cfg, "sweep", "", dict), "kind", "sweep", tuple(_SWEEP_KEYS))
     sweep = _section(cfg, "sweep", _SWEEP_SHARED | _SWEEP_KEYS[kind])
-    # x keeps a default: linker and tuned sites are range-checked against x + 1 before ED
-    x = _get(sweep, "x", "sweep", int, 3)
-    n_ring = x + 1
-    params = {"kind": kind, "x": x, **_given(sweep, "sweep", {"exchange": float})}
+    params = {"kind": kind, **_given(sweep, "sweep", {"x": int, "exchange": float})}
     if kind == "ad":
         params["a_values"] = _get(sweep, "a_values", "sweep", parse_grid)
         params["d_values"] = _get(sweep, "d_values", "sweep", parse_grid)
         params["linkers"] = [
-            _linker_from_config(item, f"sweep.linkers[{j}]", n_ring, n_ring)
+            _linker_from_config(item, f"sweep.linkers[{j}]")
             for j, item in enumerate(_get(sweep, "linkers", "sweep", _nonempty_list))
         ]
     else:
         params["b_values"] = _get(sweep, "b_values", "sweep", parse_grid)
         params.update(_given(sweep, "sweep", {
-            "a": float, "d": float,
-            "reference": lambda obj, where: _linker_from_config(obj, where, n_ring, n_ring),
-            "tuned_sites": lambda pair, where: _site_pair(pair, where, n_ring),
+            "a": float, "d": float, "reference": _linker_from_config, "tuned_sites": _site_pair,
         }))
     params.update(_given(sweep, "sweep", {"symmetric_ni_bonds": bool}, _CR_NI_NAMES))
     params.update(_given(cfg, "", *_SCALE))

@@ -53,12 +53,10 @@ def _check_linkers(linkers: Sequence[Linker], n_ring: int, n_central: int) -> No
     if len(linkers) == 0:
         raise ValidationError("need at least one linker")
     for link in linkers:
-        if not 0 <= link.ring_site - 1 < n_ring:
-            raise ValidationError(f"linker ring site {link.ring_site} out of range")
-        if not 0 <= link.central_site - 1 < n_central:
-            raise ValidationError(
-                f"linker central site {link.central_site} out of range"
-            )
+        for which, site, n in (("ring", link.ring_site, n_ring),
+                               ("central", link.central_site, n_central)):
+            if not 1 <= site <= n:
+                raise ValidationError(f"linker {which} site {site} out of range 1..{n}")
 
 
 def _pair(x_sum, z_sum, max_strength: float, scale: float) -> EffectivePair:
@@ -103,8 +101,10 @@ def ring_pair_coupling(
     """Full pipeline for one outer ring + the central ring.
 
     Returns the effective pair and the smaller of the two doublet gaps (the
-    one that limits the validity of the two-level reduction).
+    one that limits the validity of the two-level reduction).  The linkers
+    are checked before either ring is diagonalized.
     """
+    _check_linkers(linkers, ring_spec.n_sites, central_spec.n_sites)
     encode = functools.cache(functools.partial(ring_qubit_encoding, dim_cap=dim_cap))
     enc_r, elems_r = encode(ring_spec)
     enc_c, elems_c = encode(central_spec)
@@ -119,11 +119,14 @@ def star_from_rings(
     scale: float = 1.0,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> StarNetwork:
-    """Derive the full star network from microscopic ring descriptions."""
+    """Derive the full star network from microscopic ring descriptions; every
+    linker set is checked before any ring is diagonalized."""
     if len(rings) == 0:
         raise ValidationError("need at least one outer ring")
     if len(linkers) != len(rings):
         raise ValidationError("need one linker list per outer ring")
+    for spec, links in zip(rings, linkers):
+        _check_linkers(links, spec.n_sites, central.n_sites)
     encode = functools.cache(functools.partial(ring_qubit_encoding, dim_cap=dim_cap))
     _, elems_c = encode(central)
     pairs = [

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -121,7 +122,8 @@ class RingSpec:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.site_dims))
+        # exact (np.prod wraps past 2**63), one power per distinct site dimension
+        return math.prod(d**k for d, k in Counter(self.site_dims).items())
 
 
 class _SectorLayout(NamedTuple):
@@ -208,10 +210,10 @@ def build_ring_hamiltonian(spec: RingSpec, dim_cap: int = DEFAULT_DIM_CAP) -> di
     adds J_k m_k m_{k+1} to the diagonal and J_k/2 (S+_k S-_{k+1} + h.c.) off
     it; the index tables come from `_sector_layout`, built once per spin tuple.
     """
-    if spec.dim > dim_cap:
-        raise DimensionCapError(
-            f"ring dimension {spec.dim} exceeds the cap {dim_cap}"
-        )
+    dim = spec.dim
+    if dim > dim_cap:
+        shown = dim if dim < 10**100 else f"10^{math.log10(dim):.1f}"
+        raise DimensionCapError(f"ring dimension {shown} exceeds the cap {dim_cap}")
     layout = _sector_layout(spec.sites)
     m, casimir = layout.m, layout.casimir
     diag = (m**2 - casimir / 3.0) @ np.array(spec.crystal_fields)

@@ -46,6 +46,7 @@ from ringstar.protocols import (
     make_transfer_program,
     plan_w_from_site,
 )
+from ringstar.rings import RingSpec, ring_qubit_encoding
 from ringstar.star import basis_state, propagate, uniform_star
 
 
@@ -255,16 +256,22 @@ def test_sweep_section_kinds():
         }
     }
     params = sweep_section(ad_cfg)
-    assert params.pop("kind") == "ad" and params["x"] == 3
-    assert sorted(params) == ["a_values", "d_values", "dim_cap", "linkers", "x"]
-    written_out = dict(params, exchange=17.0, symmetric_substitute_bonds=False, scale=1.0)
+    assert params.pop("kind") == "ad"
+    # an omitted x is not passed on either: the sweep's default ring is x = 3
+    assert sorted(params) == ["a_values", "d_values", "dim_cap", "linkers"]
+    written_out = dict(
+        params, x=3, exchange=17.0, symmetric_substitute_bonds=False, scale=1.0
+    )
     assert sweep_anisotropy_ad(**params) == sweep_anisotropy_ad(**written_out)
     with pytest.raises(ConfigError):
         sweep_section({"sweep": {"kind": "c", "b_values": [0.0]}})
+    # sites parse here and are range-checked by the sweep, before any ED
+    params = sweep_section(
+        {"sweep": {"kind": "b", "b_values": [0.0], "x": 1, "tuned_sites": [9, 9]}}
+    )
+    assert params.pop("kind") == "b" and params["tuned_sites"] == (9, 9)
     with pytest.raises(ValidationError):
-        sweep_section(
-            {"sweep": {"kind": "b", "b_values": [0.0], "x": 1, "tuned_sites": [9, 9]}}
-        )
+        sweep_anisotropy_b(**params)
 
 
 def test_scalar_config_helpers():
@@ -848,6 +855,14 @@ EVOLVE = dict(EFFECTIVE, protocol={"initial": 1}, grids={"time": [0.0, 1.0]})
 SITE_W = {"source": 3, "n_sites": 3, "constraint": 1.0}
 TRANSFER = {"n_sites": 5, "block": 2, "alpha": 0.5}
 B_SWEEP = {"kind": "b", "b_values": [1.0], "x": 1}
+AD_SWEEP = {"kind": "ad", "a_values": [0.9], "d_values": [0.3], "x": 1}
+LINK_9_1 = {"ring_site": 9, "central_site": 1, "strength": 1.0}
+
+
+def micro_with(**section):
+    """micro_config with some keys of its microscopic section replaced."""
+    return micro_config(microscopic=dict(micro_config()["microscopic"], **section))
+
 
 # one row per class of malformed config: command, config, exit code
 MALFORMED = {
@@ -881,6 +896,20 @@ MALFORMED = {
         "sweep-fluct", {"grids": {"time": {"start": 0.0, "stop": 1.0}, "delta": [0.0]}}, 2),
     "unused-grid-repeated-point": (
         "sweep-fluct", {"grids": {"time": [1.0, 1.0], "delta": [0.0]}}, 3),
+    # sites, lengths and ring sizes: refused by the library call that uses them
+    "unequal-gammas-deltas": (
+        "spectrum", dict(EFFECTIVE, effective={"gammas": [1.0, 1.0], "deltas": [-1.0]}), 3),
+    "linker-group-count": (
+        "spectrum", micro_with(linkers=micro_config()["microscopic"]["linkers"][:1]), 3),
+    "microscopic-linker-site": ("spectrum", micro_with(linkers=[[LINK_9_1]] * 2), 3),
+    "ring-x-0": ("spectrum", micro_with(central={"x": 0}), 3),
+    "bad-explicit-spin": ("spectrum", micro_with(central=dict(MICRO_RING, spins=[0.3])), 3),
+    "explicit-ring-lengths": (
+        "spectrum", micro_with(central=dict(MICRO_RING, spins=[0.5, 0.5])), 3),
+    "initial-site": ("evolve", dict(EVOLVE, protocol={"initial": 9}), 3),
+    "initial-amplitude-count": ("evolve", dict(EVOLVE, protocol={"initial": [1.0, 0.0]}), 3),
+    "sweep-tuned-sites": ("sweep-aniso", {"sweep": dict(B_SWEEP, tuned_sites=[9, 9])}, 3),
+    "sweep-ad-linker-site": ("sweep-aniso", {"sweep": dict(AD_SWEEP, linkers=[LINK_9_1])}, 3),
 }
 
 
@@ -955,6 +984,24 @@ def test_cli_dimension_cap_exit(tmp_path):
     out = tmp_path / "x.csv"
     assert run_cli("spectrum", "--config", cfg, "--out", str(out)) == 5
     assert not out.exists()
+
+
+@pytest.mark.parametrize("x", [31, 32, 40])
+def test_rings_past_int64_dimensions_exceed_the_cap(tmp_path, capsys, x):
+    # 4**x * 3 > 2**63: a wrapped product once read as negative or zero
+    assert RingSpec.cr_ni(x).dim == 4**x * 3
+    with pytest.raises(DimensionCapError):
+        ring_qubit_encoding(RingSpec.cr_ni(x))
+    with pytest.raises(DimensionCapError):
+        sweep_anisotropy_b([0.0, 1.0], x=x)
+    out = str(tmp_path / "x.csv")
+    runs = [("spectrum", micro_with(central={"x": x})),
+            ("sweep-aniso", {"sweep": {"kind": "b", "b_values": [0.0, 1.0], "x": x}})]
+    for command, payload in runs:
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        assert run_cli(command, "--config", cfg, "--out", out) == 5
+        assert capsys.readouterr().err.startswith("error [dimension-cap]: ring dimension ")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_cli_outputs_are_byte_identical(tmp_path):

@@ -451,6 +451,32 @@ def test_ring_pair_coupling_encodes_a_shared_ring_once(encoded):
     assert encoded == [spec]
 
 
+def test_ring_pair_coupling_checks_linker_sites_before_any_ed(encoded):
+    with pytest.raises(ValidationError, match="linker central site 5 out of range 1..4"):
+        ring_pair_coupling(RingSpec.cr_ni(1), RingSpec.cr_ni(3), [Linker(1, 5, 1.0)])
+    assert encoded == []
+
+
+def test_star_from_rings_checks_every_linker_set_before_any_ed(encoded):
+    # the bad site is on the last ring: no ring, the central one included, is encoded
+    central, ring = RingSpec.cr_ni(3), RingSpec.cr_ni(1)
+    links = [[Linker(1, 2, 1.0)], [Linker(1, 2, 1.0)], [Linker(1, 2, 1.0), Linker(3, 1, 1.0)]]
+    with pytest.raises(ValidationError, match="linker ring site 3 out of range 1..2"):
+        star_from_rings(central, [ring, ring, ring], links)
+    assert encoded == []
+
+
+def test_linker_site_messages_give_the_valid_range():
+    for links, message in [
+        ([Linker(9, 1, 1.0)], "linker ring site 9 out of range 1..2"),
+        ([Linker(0, 1, 1.0)], "linker ring site 0 out of range 1..2"),
+        ([Linker(1, 5, 1.0)], "linker central site 5 out of range 1..4"),
+    ]:
+        with pytest.raises(ValidationError) as raised:
+            coupling._check_linkers(links, 2, 4)
+        assert str(raised.value) == message
+
+
 def test_star_from_rings_encodes_each_distinct_ring_once(encoded):
     central, ring = RingSpec.cr_ni(3), RingSpec.cr_ni(1)
     links = [Linker(1, 2, 1.0)]

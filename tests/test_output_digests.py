@@ -83,3 +83,39 @@ def test_a_comparison_exits_1_when_only_the_stderr_text_differs(tmp_path, monkey
     assert tool.main(argv) == 1
     assert "stderr 'error [infeasible]: no ratio\\n' -> 'error: no ratio\\n'" in (
         capsys.readouterr().out)
+
+
+
+def _run(**fields) -> dict:
+    run = {"command": "spectrum", "exit": 0, "stderr": "",
+           "outputs": {"out.csv": dict(_entry(["k,a", "0,0.5"]), sha256="aa")}}
+    run.update(fields)
+    return run
+
+
+# base and current runs that differ in one part (or in several), and the
+# summary line of the comparison
+BREAKDOWN = {
+    "exit": ({"r": _run()}, {"r": _run(exit=3)},
+             "1 of 1 runs differ (exit 1, stderr 0, csv 0, one side 0)"),
+    "stderr": ({"r": _run(stderr="error [validation]: a\n")},
+               {"r": _run(stderr="error [validation]: b\n")},
+               "1 of 1 runs differ (exit 0, stderr 1, csv 0, one side 0)"),
+    "csv": ({"r": _run()},
+            {"r": _run(outputs={"out.csv": dict(_entry(["k,a", "0,0.75"]), sha256="bb")})},
+            "1 of 1 runs differ (exit 0, stderr 0, csv 1, one side 0)"),
+    "csv-missing": ({"r": _run()}, {"r": _run(outputs={})},
+                    "1 of 1 runs differ (exit 0, stderr 0, csv 1, one side 0)"),
+    "one-side": ({"r": _run()}, {"r": _run(), "s": _run()},
+                 "1 of 2 runs differ (exit 0, stderr 0, csv 0, one side 1)"),
+    "several-parts": ({"r": _run(), "s": _run()},
+                      {"r": _run(exit=3, stderr="error [validation]: b\n", outputs={}),
+                       "s": _run()},
+                      "1 of 2 runs differ (exit 1, stderr 1, csv 1, one side 0)"),
+}
+
+
+@pytest.mark.parametrize("base, current, summary", BREAKDOWN.values(), ids=BREAKDOWN)
+def test_a_comparison_counts_the_differing_runs_by_part(capsys, base, current, summary):
+    assert _load_tool().compare(base, current) == 1
+    assert summary in capsys.readouterr().out.splitlines()

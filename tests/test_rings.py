@@ -100,6 +100,15 @@ def test_dimension_cap():
         build_ring_hamiltonian(RingSpec.cr_ni(3), dim_cap=100)
 
 
+def test_dimension_cap_names_a_dimension_too_long_to_print():
+    # 4**10000 * 3 has 6022 digits, past what str() of an int allows
+    spec = RingSpec.cr_ni(10000)
+    assert spec.dim == 4**10000 * 3
+    message = r"^ring dimension 10\^6021\.1 exceeds the cap 4096$"
+    with pytest.raises(DimensionCapError, match=message):
+        build_ring_hamiltonian(spec)
+
+
 def test_single_spin_half_trivial_encoding():
     spec = RingSpec(sites=(0.5,), bond_couplings=(0.0,), crystal_fields=(0.0,))
     enc, elems = ring_qubit_encoding(spec)

@@ -10,14 +10,17 @@ sha256 of each CSV it wrote, with the CSV text kept (zlib, base64) so a
 later comparison can report numbers.  A stream's `transitions` jobs call
 `b_sweep_evaluator` and `find_delta_transitions` as the benchmark does, and
 their result is kept as the CSV `b,kind,rising` (floats as %.17g).  With
---against, prints every run whose exit code, stderr or bytes differ from BASE.json
-and, per command, the largest absolute and the largest relative change in a
-numeric cell (relative to the BASE.json value; a cell whose base magnitude
-is below 1e-9 of the largest in its column counts only in the absolute
-figure, so rounding noise around zero does not set the relative one), and
-exits 1 if any run differs or is missing from one side.  --root picks the
-checkout whose `src/`, `configs/` and `perfbench/` are used (default: this
-one), so a parent commit's outputs can be recorded with the same script.
+--against, prints every run whose exit code, stderr or bytes differ from
+BASE.json; then one line such as `6 of 292 runs differ (exit 0, stderr 6,
+csv 0, one side 0)`, where a run counts in each part that differs and "one
+side" counts runs that only one file holds; then, per command, the largest
+absolute and the largest relative change in a numeric cell (relative to the
+BASE.json value; a cell whose base magnitude is below 1e-9 of the largest in
+its column counts only in the absolute figure, so rounding noise around zero
+does not set the relative one).  It exits 1 if any run differs or is missing
+from one side.  --root picks the checkout whose `src/`, `configs/` and
+`perfbench/` are used (default: this one), so a parent commit's outputs can
+be recorded with the same script.
 """
 from __future__ import annotations
 
@@ -152,32 +155,39 @@ def largest_change(old: dict, new: dict) -> tuple[float, float]:
 
 
 def compare(base: dict, current: dict) -> int:
-    """Print the runs that differ; returns how many do."""
+    """Print the runs that differ, then how many do and how many of those
+    differ in each part (a run can count in several); returns how many do."""
     changed, worst = 0, {}
+    parts = dict.fromkeys(("exit", "stderr", "csv", "one side"), 0)
     for run_id in sorted(set(base) | set(current)):
         old, new = base.get(run_id), current.get(run_id)
         if old is None or new is None:
             print(f"{run_id}: only in {'current' if old is None else 'base'}")
             changed += 1
+            parts["one side"] += 1
             continue
-        notes = []
+        notes, csv_notes = [], []
         if old["exit"] != new["exit"]:
             notes.append(f"exit {old['exit']} -> {new['exit']}")
+            parts["exit"] += 1
         if old.get("stderr") != new.get("stderr"):
             notes.append(f"stderr {old.get('stderr')!r} -> {new.get('stderr')!r}")
+            parts["stderr"] += 1
         for name in sorted(set(old["outputs"]) | set(new["outputs"])):
             o, n = old["outputs"].get(name), new["outputs"].get(name)
             if o is None or n is None:
-                notes.append(f"{name} {'added' if o is None else 'missing'}")
+                csv_notes.append(f"{name} {'added' if o is None else 'missing'}")
             elif o["sha256"] != n["sha256"]:
                 delta, rel = largest_change(o, n)
                 top = worst.get(new["command"], (0.0, 0.0))
                 worst[new["command"]] = (max(top[0], delta), max(top[1], rel))
-                notes.append(f"{name} max |change| {delta:.2g} (relative {rel:.2g})")
-        if notes:
+                csv_notes.append(f"{name} max |change| {delta:.2g} (relative {rel:.2g})")
+        parts["csv"] += bool(csv_notes)
+        if notes or csv_notes:
             changed += 1
-            print(f"{run_id} [{new['command']}]: " + "; ".join(notes))
-    print(f"{changed} of {len(current)} runs differ")
+            print(f"{run_id} [{new['command']}]: " + "; ".join(notes + csv_notes))
+    breakdown = ", ".join(f"{part} {count}" for part, count in parts.items())
+    print(f"{changed} of {len(current)} runs differ ({breakdown})")
     for command, (delta, rel) in sorted(worst.items()):
         print(f"  {command}: largest absolute change {delta:.2g}, relative {rel:.2g}")
     return changed

@@ -37,7 +37,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .star import StarNetwork, basis_state, evolve_subspace, propagate
+from .star import StarNetwork, basis_state, build_effective_hamiltonian
+from .star import evolve_subspace, propagate
 
 # Baseline for the fluctuation study (chosen so the relative generation error
 # at |fractional fluctuation| = 0.1 sits near 0.1; see the decision record).
@@ -157,44 +158,50 @@ def equal_population_ratio(theta1: float, n_sites: int, branch: str = "plus") ->
     return float(p)
 
 
+def _sign_change(f, lo: float, hi: float) -> float:
+    """Where the vectorised f first leaves its sign at lo in [lo, hi], or hi if it
+    never does: four 64-fold rescans of the cell, then the zero of the chord."""
+    for _ in range(4):
+        x = np.linspace(lo, hi, 65)
+        v = f(x)
+        j = int(np.argmax(np.sign(v) != np.sign(v[0])))
+        if j == 0:
+            return float(hi)
+        lo, hi, f_lo, f_hi = x[j - 1], x[j], v[j - 1], v[j]
+    return float(lo - f_lo * (hi - lo) / (f_hi - f_lo))
+
+
 def _solve_ratio(
     n: int, constraint: float, gamma_source: float, winding: int, branch: str
 ) -> float:
-    """Self-consistent p: the ratio that equalizes populations at t_k."""
-    from scipy.optimize import brentq
-
+    """Self-consistent p: the smallest ratio that equalizes populations at t_k."""
     def residual(p):
-        """p minus the ratio at theta_1(p), for one p or an array; NaN where
-        no real ratio exists."""
+        """p minus the ratio at theta_1(p), and the discriminant, for p or an array."""
         omega = gamma_source * np.sqrt(1.0 + (n - 1) * p)
         b = constraint * (n - 1) / (2.0 * omega)
         theta1 = winding * math.pi * (b / np.hypot(1.0, b) - 1.0)
         ratio, disc = _population_ratio(theta1, n, branch)
-        return np.where(disc < -1e-12, np.nan, p - ratio)
+        return p - ratio, disc
 
     if constraint == 0.0:
         # theta_1 = -k pi independently of p: the ratio is explicit, and the only
         # route for N >~ 10^6, where p ~ 1/N falls below the grid's 1e-6 floor
-        theta1 = -winding * math.pi
-        p = equal_population_ratio(theta1, n, branch)
+        p = equal_population_ratio(-winding * math.pi, n, branch)
         if not p > 0.0:
             raise InfeasibleError(
                 f"winding {winding} gives a non-positive coupling ratio {p:.6g}"
             )
         return p
     grid = np.geomspace(1e-6, 1e6, 2401)
-    vals = residual(grid)
-    f0, f1 = vals[:-1], vals[1:]
-    brackets = np.flatnonzero(~np.isnan(f1) & ((f0 == 0.0) | (f0 * f1 < 0.0)))
-    if brackets.size == 0:
-        raise InfeasibleError(
-            f"no self-consistent coupling ratio for winding {winding} "
-            f"(branch {branch}, C={constraint:.6g})"
-        )
-    i = brackets[0]
-    if f0[i] == 0.0:
-        return float(grid[i])
-    return float(brentq(residual, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16))
+    # a sign change where no real ratio exists comes from the clamp, not a root
+    for i in np.flatnonzero(np.diff(np.sign(residual(grid)[0]))):
+        p = _sign_change(lambda x: residual(x)[0], grid[i], grid[i + 1])
+        if residual(p)[1] >= -1e-12:
+            return p
+    raise InfeasibleError(
+        f"no self-consistent coupling ratio for winding {winding} "
+        f"(branch {branch}, C={constraint:.6g})"
+    )
 
 
 def _site_plan_at_winding(
@@ -244,10 +251,10 @@ def plan_w_from_site(
 ) -> WGenerationPlan:
     """Schedule W generation starting from one outer site.
 
-    With winding=None the smallest feasible winding is used.  The solved
-    network carries gamma_source on the source site, sqrt(p) gamma_source on
-    every other site, and anisotropies chosen so each product
-    gamma (1 + Delta) equals `constraint`.
+    With winding=None the smallest feasible winding is used; p is the
+    smallest self-consistent ratio at that winding.  The solved network
+    carries gamma_source on the source site, sqrt(p) gamma_source on every
+    other site, and anisotropies chosen so each gamma (1 + Delta) is `constraint`.
     """
     _require_branch(branch)
     if n_sites < 2:
@@ -310,7 +317,7 @@ class TransferProgram:
 
     Sites 1..L and L+1..2L carry the same normalized amplitude pattern c;
     any outer sites beyond 2L are decoupled.  t_transfer is the first time
-    the target-block fidelity peaks.
+    the target-block fidelity peaks, or 8 pi / Omega if it still rises there.
     """
 
     block: int
@@ -369,32 +376,25 @@ def make_transfer_program(
     deltas[active] = constraint / gammas[active] - 1.0
     network = StarNetwork(gammas=gammas, deltas=deltas)
     initial, target = _transfer_endpoints(block, c, network.dim)
+    h_target = build_effective_hamiltonian(network) @ target
 
-    def target_fidelity(t: float) -> float:
-        return float(_fidelity(target, evolve_subspace(network, initial, t)))
+    def slope(t):
+        """dF/dt = 2 Im(<target|psi>* <H target|psi>) over a time grid."""
+        states = propagate(network, initial, t)
+        return 2.0 * np.imag((states @ target).conj() * (states @ h_target))
 
-    horizon = 8.0 * math.pi / network.omega
-    times = np.linspace(0.0, horizon, TRANSFER_SCAN_POINTS)
+    times = np.linspace(0.0, 8.0 * math.pi / network.omega, TRANSFER_SCAN_POINTS)
     coarse = _fidelity(target, propagate(network, initial, times))
-    best = float(coarse.max())
-    first = int(np.nonzero(coarse >= best - 1e-9)[0][0])
-    lo = times[max(first - 1, 0)]
-    hi = times[min(first + 1, len(times) - 1)]
-    from scipy.optimize import minimize_scalar
-
-    refined = minimize_scalar(
-        lambda t: -target_fidelity(t),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    t_transfer = float(refined.x)
+    first = int(np.argmax(coarse >= coarse.max() - 1e-9))
+    lo, hi = times[max(first - 1, 0)], times[min(first + 1, len(times) - 1)]
+    t_transfer = _sign_change(slope, lo, hi)
+    peak = _fidelity(target, evolve_subspace(network, initial, t_transfer))
     return TransferProgram(
         block=block,
         amplitudes=tuple(float(v) for v in c),
         network=network,
         t_transfer=t_transfer,
-        peak_target_fidelity=target_fidelity(t_transfer),
+        peak_target_fidelity=float(peak),
     )
 
 

@@ -686,8 +686,11 @@ def test_cli_sweep_aniso_reaches_the_cr7ni_ring(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded(tmp_path):
-    # the full-space oracle is numpy only: a validate job loads no scipy at all
-    cfg = str(CONFIGS / "center-w.json")
+    # the full-space oracle, the x = 3 ring and both protocol searches are
+    # numpy only: no command over configs/ loads any scipy module
+    site_wgen = tmp_path / "site-wgen.json"
+    site_wgen.write_text(json.dumps({"protocol": {
+        "source": 2, "n_sites": 5, "constraint": 0.5, "gamma_source": 1.0}}))
     code = (
         "import sys\n"
         "heavy = ('scipy.optimize', 'scipy.sparse')\n"
@@ -697,27 +700,31 @@ def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded(tmp_path):
         "ring_qubit_encoding(RingSpec.cr_ni(3))\n"
         "assert not [m for m in heavy if m in sys.modules], 'x = 3 encoding'\n"
         "from ringstar.cli import main\n"
-        "assert main(['validate', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-        "assert not loaded, f'validate loaded {loaded}'\n"
         "from ringstar.coupling import b_sweep_evaluator, find_delta_transitions\n"
         "assert len(find_delta_transitions(b_sweep_evaluator(), 0.0, 5.0)) == 2\n"
-        "assert 'scipy.optimize' not in sys.modules, 'Delta transitions'\n"
-        "assert main(['sweep-aniso', '--config', sys.argv[3], '--out', sys.argv[4]]) == 0\n"
-        "assert 'scipy.optimize' not in sys.modules, 'x = 3 b sweep'\n"
+        "args = iter(sys.argv[1:])\n"
+        "for command, config, out in zip(args, args, args):\n"
+        "    assert main([command, '--config', config, '--out', out]) == 0, command\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, f'{len(loaded)} scipy modules loaded: {loaded[:3]}'\n"
     )
     src = str(Path(ringstar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = tmp_path / "checks.csv"
-    sweep_cfg = str(CONFIGS / "ring-anisotropy-b.json")
-    sweep_out = tmp_path / "aniso.csv"
+    runs = [
+        ("validate", CONFIGS / "center-w.json", tmp_path / "checks.csv"),
+        ("sweep-aniso", CONFIGS / "ring-anisotropy-b.json", tmp_path / "aniso.csv"),
+        ("transfer", CONFIGS / "block-transfer.json", tmp_path / "transfer.csv"),
+        ("sweep-fluct", CONFIGS / "w-fluctuation.json", tmp_path / "fluct.csv"),
+        ("wgen", site_wgen, tmp_path / "site-wgen.csv"),
+    ]
     result = subprocess.run(
-        [sys.executable, "-c", code, cfg, str(out), sweep_cfg, str(sweep_out)],
+        [sys.executable, "-c", code, *[str(v) for run in runs for v in run]],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert out.read_text().count(",true") == 3
-    assert sweep_out.read_text().count(",ok") == 201
+    assert (tmp_path / "checks.csv").read_text().count(",true") == 3
+    assert (tmp_path / "aniso.csv").read_text().count(",ok") == 201
+    assert len((tmp_path / "fluct.csv").read_text().splitlines()) == 82
 
 
 def test_cli_validate(tmp_path):

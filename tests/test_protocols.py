@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringstar.errors import InfeasibleError, ValidationError
@@ -122,35 +122,61 @@ def test_equal_population_ratio_closed_form():
 
 
 def reference_ratio(n, constraint, gamma_source, winding, branch):
-    """The coupling ratio from a scalar scan of the same geomspace grid, one
-    residual call per point, refined by brentq; None when no bracket exists."""
+    """The smallest coupling ratio from a scalar scan of the same geomspace
+    grid, one residual call per point: each sign-change cell in turn is refined
+    by brentq, and the first root with a real ratio (discriminant >= -1e-12)
+    is returned; None when there is none.  The residual clamps a negative
+    discriminant to zero, so it stays finite and continuous everywhere."""
     from scipy.optimize import brentq
 
-    def residual(p):
+    def terms(p):
         omega = gamma_source * math.sqrt(1.0 + (n - 1) * p)
         b = constraint * (n - 1) / (2.0 * omega)
         theta1 = winding * math.pi * (b / math.hypot(1.0, b) - 1.0)
         disc = 2.0 * n * (1.0 - math.cos(theta1)) - n * n * math.sin(theta1) ** 2
-        if disc < -1e-12:
-            return math.nan
         sign = 1.0 if branch == "plus" else -1.0
         root = math.sqrt(max(disc, 0.0))
-        return p - (1.0 - n * math.cos(theta1) + sign * root) / (n - 1) ** 2
+        return p - (1.0 - n * math.cos(theta1) + sign * root) / (n - 1) ** 2, disc
+
+    def residual(p):
+        return terms(p)[0]
 
     grid = np.geomspace(1e-6, 1e6, 2401)
     vals = [residual(p) for p in grid]
     for i in range(len(grid) - 1):
         f0, f1 = vals[i], vals[i + 1]
-        if math.isnan(f0) or math.isnan(f1):
-            continue
         if f0 == 0.0:
-            return float(grid[i])
-        if f0 * f1 < 0.0:
-            return brentq(residual, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
+            root = float(grid[i])
+        elif f0 * f1 < 0.0:
+            root = brentq(residual, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
+        else:
+            continue
+        if terms(root)[1] >= -1e-12:
+            return root
     return None
 
 
+# (N, C, gamma_source, winding, branch) -> the smallest ratio, from a
+# 96001-point grid: the roots sit next to cells where no real ratio exists,
+# which a scan that skipped those cells refused or passed over; the same rows
+# are @examples of the property below
+ROOTS_NEXT_TO_INFEASIBLE_CELLS = [
+    (10, -0.6125485144108256, 2.658317368354364, 7, "minus", 0.10086717314413425),
+    (32, -0.10335420950681157, 2.2572371452402735, 2, "plus", 0.03391733566086845),
+    (52, -0.216469743962023, 2.2380863468659666, 7, "minus", 0.018824187322643474),
+    (9, 0.26026411160820345, 0.6106253746641235, 5, "plus", 0.14454735956122386),
+    (19, 0.09645131502163246, 0.5951137667899952, 4, "plus", 0.05850436043816097),
+    (41, -0.061407055562716986, 2.7236374230565614, 7, "plus", 0.02649861723133947),
+]
+
+
 @settings(max_examples=60, deadline=None)
+@example(10, -0.6125485144108256, 2.658317368354364, 7, "minus")
+@example(32, -0.10335420950681157, 2.2572371452402735, 2, "plus")
+@example(52, -0.216469743962023, 2.2380863468659666, 7, "minus")
+@example(9, 0.26026411160820345, 0.6106253746641235, 5, "plus")
+@example(19, 0.09645131502163246, 0.5951137667899952, 4, "plus")
+@example(41, -0.061407055562716986, 2.7236374230565614, 7, "plus")
 @given(
     n=st.integers(min_value=2, max_value=12),
     constraint=st.floats(min_value=-3.0, max_value=3.0).filter(lambda c: c != 0.0),
@@ -165,10 +191,23 @@ def test_property_solve_ratio_matches_scalar_scan(n, constraint, gamma_source, w
             _solve_ratio(n, constraint, gamma_source, winding, branch)
         return
     got = _solve_ratio(n, constraint, gamma_source, winding, branch)
-    # the same bracket, refined to brentq's own stopping tolerance (the two
-    # runs see residuals that differ in the last bit: numpy's hypot is not
+    # the same cell, refined to within brentq's own stopping tolerance (the
+    # two runs see residuals that differ in the last bit: numpy's hypot is not
     # correctly rounded, math.hypot is)
     assert abs(got - expected) <= 2.0 * (1e-15 + 8.9e-16 * abs(expected))
+
+
+@pytest.mark.parametrize(
+    "n, constraint, gamma_source, winding, branch, p", ROOTS_NEXT_TO_INFEASIBLE_CELLS
+)
+def test_site_plan_found_next_to_infeasible_cells(
+    n, constraint, gamma_source, winding, branch, p
+):
+    plan = plan_w_from_site(
+        n, 1, constraint, gamma_source, winding=winding, branch=branch
+    )
+    assert abs(plan.ratio - p) <= 1e-12 * p
+    assert plan.predicted_error < 1e-8
 
 
 def test_solve_ratio_at_zero_constraint_reaches_below_the_grid_floor():
@@ -422,6 +461,76 @@ def test_transfer_nonzero_constraint_peak_degrades():
     )
     assert clean.peak_target_fidelity > 1.0 - 1e-10
     assert skewed.peak_target_fidelity < clean.peak_target_fidelity - 1e-3
+
+
+def transfer_scalar(program, constraint):
+    """F(t) and dF/dt of a transfer program from its two-level scalar.
+
+    Only the bright mode of the two blocks moves.  With d = C(N-2)/4 on the
+    sites, e = -C L/2 on the center, delta = (d-e)/2 and
+    nu = sqrt(delta^2 + Omega^2/4):
+        F(t) = |e^{i delta t} (cos nu t - i (delta/nu) sin nu t) - 1|^2 / 4.
+    """
+    n, block = program.network.n_sites, program.block
+    omega = program.network.omega
+    delta = (constraint * (n - 2) / 4.0 + constraint * block / 2.0) / 2.0
+    nu = math.sqrt(delta**2 + omega**2 / 4.0)
+
+    def amplitude(t):
+        return cmath.exp(1j * delta * t) * (
+            math.cos(nu * t) - 1j * (delta / nu) * math.sin(nu * t)
+        ) - 1.0
+
+    def fidelity(t):
+        return abs(amplitude(t)) ** 2 / 4.0
+
+    def slope(t):
+        rate = -(omega**2 / (4.0 * nu)) * math.sin(nu * t)  # d amplitude / dt
+        return (amplitude(t).conjugate() * rate * cmath.exp(1j * delta * t)).real / 2.0
+
+    return fidelity, slope
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    block=st.integers(min_value=1, max_value=3),
+    spare=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_transfer_time_is_the_scalar_peak(block, spare, seed):
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(seed)
+    amps = rng.uniform(0.3, 1.0, block)
+    constraint = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0))
+    prog = make_transfer_program(
+        2 * block + 1 + spare,
+        block,
+        amps / np.linalg.norm(amps),
+        gamma_scale=float(rng.uniform(0.5, 2.0)),
+        constraint=constraint,
+    )
+    fidelity, slope = transfer_scalar(prog, constraint)
+    times = np.linspace(0.0, 8.0 * math.pi / prog.network.omega, 4097)
+    # a coarse maximum at the scan's end is no peak (see the horizon test)
+    assume(np.argmax([fidelity(t) for t in times]) != times.size - 1)
+    step = times[1]
+    lo, hi = prog.t_transfer - step, prog.t_transfer + step
+    peak = brentq(slope, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    assert abs(prog.t_transfer - peak) <= 1e-12 * peak
+    assert abs(prog.peak_target_fidelity - fidelity(peak)) <= 1e-12
+
+
+def test_transfer_time_stops_at_the_horizon_while_the_fidelity_rises():
+    # the coarse maximum is the last scan point, and the fidelity still rises
+    # there: the reported time is the end of the scan, not a peak
+    prog = make_transfer_program(7, 1, [1.0], gamma_scale=1.0, constraint=2.0)
+    fidelity, slope = transfer_scalar(prog, 2.0)
+    horizon = 8.0 * math.pi / prog.network.omega
+    assert prog.t_transfer == horizon
+    assert slope(horizon) > 0.0
+    assert abs(prog.peak_target_fidelity - fidelity(horizon)) <= 1e-12
+    assert abs(prog.peak_target_fidelity - 0.848) < 1e-3
 
 
 @settings(max_examples=40, deadline=None)

@@ -25,6 +25,7 @@ from .rings import (
     ground_doublet,
     regauge,
     ring_qubit_encoding,
+    ring_qubit_encodings,
 )
 from .coupling import (
     DeltaTransition,
@@ -115,6 +116,7 @@ __all__ = [
     "ring_pair_coupling",
     "regauge",
     "ring_qubit_encoding",
+    "ring_qubit_encodings",
     "single_excitation_indices",
     "star_from_rings",
     "sweep_anisotropy_ad",

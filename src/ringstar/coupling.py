@@ -13,18 +13,23 @@ The overall proportionality of gamma is taken as one; `scale` rescales it.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AnisotropyDivergenceError, GroundDoubletError, ValidationError
+from .errors import (
+    AnisotropyDivergenceError,
+    GroundDoubletError,
+    RingStarError,
+    ValidationError,
+)
 from .rings import (
     DEFAULT_DIM_CAP,
     RingSpec,
     SiteMatrixElements,
     ring_qubit_encoding,
+    ring_qubit_encodings,
 )
 from .star import StarNetwork
 
@@ -91,6 +96,17 @@ def effective_coupling(
     return _pair(x_sum, z_sum, max_strength, scale)
 
 
+def _encode_all(specs: Sequence[RingSpec], dim_cap: int) -> dict:
+    """{spec: (encoding, elements)} of each distinct ring, from one stacked
+    call; the first failing ring in `specs` order raises its error."""
+    distinct = list(dict.fromkeys(specs))
+    outcomes = ring_qubit_encodings(distinct, dim_cap=dim_cap)
+    for outcome in outcomes:
+        if isinstance(outcome, RingStarError):
+            raise outcome
+    return dict(zip(distinct, outcomes))
+
+
 def ring_pair_coupling(
     ring_spec: RingSpec,
     central_spec: RingSpec,
@@ -105,9 +121,8 @@ def ring_pair_coupling(
     are checked before either ring is diagonalized.
     """
     _check_linkers(linkers, ring_spec.n_sites, central_spec.n_sites)
-    encode = functools.cache(functools.partial(ring_qubit_encoding, dim_cap=dim_cap))
-    enc_r, elems_r = encode(ring_spec)
-    enc_c, elems_c = encode(central_spec)
+    encoded = _encode_all([ring_spec, central_spec], dim_cap)
+    (enc_r, elems_r), (enc_c, elems_c) = encoded[ring_spec], encoded[central_spec]
     pair = effective_coupling(elems_r, elems_c, linkers, scale=scale)
     return pair, min(enc_r.gap, enc_c.gap)
 
@@ -120,17 +135,19 @@ def star_from_rings(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> StarNetwork:
     """Derive the full star network from microscopic ring descriptions; every
-    linker set is checked before any ring is diagonalized."""
+    linker set is checked before any ring is diagonalized.  The central ring
+    and every distinct outer ring are encoded in one call, and the first of
+    them to fail (central first, then the outer rings in order) raises."""
     if len(rings) == 0:
         raise ValidationError("need at least one outer ring")
     if len(linkers) != len(rings):
         raise ValidationError("need one linker list per outer ring")
     for spec, links in zip(rings, linkers):
         _check_linkers(links, spec.n_sites, central.n_sites)
-    encode = functools.cache(functools.partial(ring_qubit_encoding, dim_cap=dim_cap))
-    _, elems_c = encode(central)
+    encoded = _encode_all([central, *rings], dim_cap)
+    elems_c = encoded[central][1]
     pairs = [
-        effective_coupling(encode(spec)[1], elems_c, links, scale=scale)
+        effective_coupling(encoded[spec][1], elems_c, links, scale=scale)
         for spec, links in zip(rings, linkers)
     ]
     return StarNetwork(
@@ -157,16 +174,16 @@ class SweepRow(NamedTuple):
     status: str
 
 
-def _sweep_rows(
-    spec: RingSpec, a: float, d: float, b_values: list, rule: Callable, dim_cap: int
-) -> list[SweepRow]:
-    """Rows of `spec` coupled to itself, one per b, from one encoding whose elements
-    `rule` turns into b -> pair: a missing doublet fails every row, a vanishing
-    transverse sum only its own."""
-    try:
-        enc, elems = ring_qubit_encoding(spec, dim_cap=dim_cap)
-    except GroundDoubletError:
+def _sweep_rows(outcome, a: float, d: float, b_values: list, rule: Callable) -> list[SweepRow]:
+    """Rows of a ring coupled to itself, one per b, from the outcome of its
+    encoding, whose elements `rule` turns into b -> pair: a missing doublet
+    fails every row, a vanishing transverse sum only its own, and any other
+    error is raised."""
+    if isinstance(outcome, GroundDoubletError):
         return [SweepRow(a, d, b, None, None, None, "no-doublet") for b in b_values]
+    if isinstance(outcome, RingStarError):
+        raise outcome
+    enc, elems = outcome
     evaluate = rule(elems)
     rows = []
     for b in b_values:
@@ -191,21 +208,20 @@ def sweep_anisotropy_ad(
 ) -> list[SweepRow]:
     """Effective (gamma, Delta) over a grid of bond ratio a and site term d.
 
-    Both rings of the pair share the same structure, so each grid point costs
-    one diagonalization.  The linkers are checked before any.
+    Both rings of the pair share the same structure, so each grid point is
+    one ring, and the whole grid is encoded in one call.  The linkers are
+    checked before any diagonalization.
     """
     _check_linkers(linkers, x + 1, x + 1)
 
     def rule(elems: SiteMatrixElements) -> Callable[[None], EffectivePair]:
         return lambda _: effective_coupling(elems, elems, linkers, scale=scale)
 
+    points = [(float(a), float(d)) for a in a_values for d in d_values]
+    specs = [RingSpec.cr_ni(x, exchange, a, d, symmetric_substitute_bonds) for a, d in points]
     rows = []
-    for a in a_values:
-        for d in d_values:
-            spec = RingSpec.cr_ni(
-                x, exchange, float(a), float(d), symmetric_substitute_bonds
-            )
-            rows += _sweep_rows(spec, float(a), float(d), [None], rule, dim_cap)
+    for (a, d), outcome in zip(points, ring_qubit_encodings(specs, dim_cap=dim_cap)):
+        rows += _sweep_rows(outcome, a, d, [None], rule)
     return rows
 
 
@@ -282,7 +298,8 @@ def sweep_anisotropy_b(
         x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds, scale
     )
     b_values = [float(b) for b in b_values]
-    return _sweep_rows(spec, float(a), float(d), b_values, rule, dim_cap)
+    outcome = ring_qubit_encodings([spec], dim_cap=dim_cap)[0]
+    return _sweep_rows(outcome, float(a), float(d), b_values, rule)
 
 
 @dataclass(frozen=True)

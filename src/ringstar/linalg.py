@@ -38,10 +38,12 @@ class EigenSystem:
     vectors: np.ndarray
 
 
-def _as_square(matrix, name: str = "matrix") -> np.ndarray:
+def _as_square(matrix, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """The matrix as float64 (complex128 if complex), refused unless square
+    and finite; with `stack`, a (..., n, n) stack of such matrices too."""
     a = np.asarray(matrix)
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if not (a.ndim == 2 or stack and a.ndim > 2) or a.shape[-2] != a.shape[-1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError(f"{name} contains non-finite entries")
@@ -49,15 +51,26 @@ def _as_square(matrix, name: str = "matrix") -> np.ndarray:
 
 
 def hermitian_eigendecompose(matrix) -> EigenSystem:
-    """Eigendecompose a Hermitian matrix.
+    """Eigendecompose a Hermitian matrix, or each matrix of a (..., n, n)
+    stack (values (..., n), vectors (..., n, n), each matrix's bits the same
+    as alone).
 
-    The input must be Hermitian within a relative tolerance of 1e-12 on the
-    max-entry norm; asymmetry beyond that is an input error, not something to
-    silently symmetrize away.
+    Each matrix must be Hermitian within a relative tolerance of 1e-12 on its
+    own max-entry norm; asymmetry beyond that is an input error, not something
+    to silently symmetrize away, and a stack reports its first such matrix.
     """
-    a = _as_square(matrix)
-    scale = max(max_entry_norm(a), 1e-300)
-    asym = max_entry_norm(a - a.conj().T)
+    a = _as_square(matrix, stack=True)
+    if a.ndim == 2:
+        scale = max(max_entry_norm(a), 1e-300)
+        asym = max_entry_norm(a - a.conj().T)
+    else:
+        diff = a - np.swapaxes(a, -2, -1).conj()
+        scale, asym = 1.0, 0.0  # exactly Hermitian unless diff has an entry
+        if diff.any():
+            asyms = np.abs(diff).max(axis=(-2, -1)).ravel()
+            scales = np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300).ravel()
+            first = np.argmax(asyms > HERMITICITY_RTOL * scales)
+            scale, asym = scales[first], asyms[first]
     if asym > HERMITICITY_RTOL * scale:
         raise ValidationError(
             f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "

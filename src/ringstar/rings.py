@@ -24,11 +24,11 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionCapError, GroundDoubletError, ValidationError
+from .errors import DimensionCapError, GroundDoubletError, RingStarError, ValidationError
 from .linalg import HERMITICITY_RTOL, hermitian_eigendecompose, max_entry_norm
 
 # Largest full product dimension of a ring (a config's `dim_cap`; larger
@@ -39,6 +39,10 @@ from .linalg import HERMITICITY_RTOL, hermitian_eigendecompose, max_entry_norm
 DEFAULT_DIM_CAP = 4096
 
 DENSE_SECTOR_MAX = 200  # larger sectors are diagonalised by sparse Lanczos
+
+# Rings of one site-spin tuple encoded together hold at most this many
+# numbers (8 MB) in their dense sector blocks; more take several stacks.
+STACK_ENTRIES_MAX = 2**20
 
 # minimum doublet gap, relative to the largest Hamiltonian entry: levels
 # closer than this count as degenerate with the ground level
@@ -130,26 +134,37 @@ class _SectorLayout(NamedTuple):
     """The part of a ring's sector build that depends only on its site spins.
 
     m[i, k] is tau_z of site k in product state i; casimir[k] is s_k(s_k+1);
-    roots[k] holds sqrt((s(s+1) - m_k(m_k+1)) (s(s+1) - m_q(m_q-1))) for every
-    state that bond k (sites k, q) can hop, the ladder factor of its
-    S+_k S-_q entry.  Each sector is (2M, idx, take, (row, col)): idx the
-    ascending product-basis indices of its states, take the positions of its
-    entries in build_ring_hamiltonian's concatenated [diagonal, hops of bond
-    1, their mirrors, ...] values, and (row, col) their places in the block.
+    field = m^2 - casimir / 3 is the crystal-field term per unit d_k.
+    hops = (bond, root) lists every state that each bond k (sites k, q) can
+    hop, bond by bond: k and sqrt((s(s+1) - m_k(m_k+1)) (s(s+1) - m_q(m_q-1))),
+    the ladder factor of its S+_k S-_q entry.  Each sector is (2M, idx, take,
+    at): idx the ascending product-basis indices of its n states, take the
+    positions of its entries in `_entry_values`' [diagonal, hops, mirrored
+    hops] values, and at their places row * n + col in the n x n block.
     ladder = (starts, src, dst, half_roots) holds each S+_k from the S_z = -1/2
     sector to +1/2 (site k's at starts[k]:starts[k+1]) and tau_{k,x}'s element
     sqrt(s(s+1) - m(m+1)) / 2; it is empty when the total spin is an integer.
+    outside holds the product states outside the -1/2 sector and those
+    outside +1/2, where doublet kets must vanish.  dense = (take, places,
+    keys, width) lists the entries of the sectors up to DENSE_SECTOR_MAX
+    states sector by sector, in ascending 2M: their positions in the values,
+    their places in a buffer of width numbers that holds those blocks one
+    after another, and their sector's 2M.
     """
 
     m: np.ndarray
     casimir: np.ndarray
-    roots: tuple[np.ndarray, ...]
-    sectors: tuple[tuple[int, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]], ...]
+    field: np.ndarray
+    hops: tuple[np.ndarray, np.ndarray]
+    sectors: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
     ladder: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    outside: tuple[np.ndarray, np.ndarray]
+    dense: tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
-# A layout holds the m table, the ladder roots, three indices per H entry and
-# the ladder table (0.9 MB of it): 17.7 MB for x = 7 (dim 49152), 38 kB for x = 3.
+# A layout holds the m and field tables, two numbers per hop, two indices per
+# H entry (three more per dense-sector entry), the out-of-sector states and
+# the ladder table (0.9 MB of it): 19.4 MB for x = 7 (dim 49152), 66 kB for x = 3.
 @functools.lru_cache(maxsize=8)
 def _sector_layout(sites: tuple[float, ...]) -> _SectorLayout:
     """Index tables of the total-S_z sectors for one tuple of site spins,
@@ -164,7 +179,7 @@ def _sector_layout(sites: tuple[float, ...]) -> _SectorLayout:
     m = two_m / 2.0
     casimir = np.array([s * (s + 1) for s in sites])
     states = np.arange(dim)
-    rows, cols, roots = [states], [states], []
+    srcs, dsts, bond, root = [], [], [np.empty(0, np.intp)], [np.empty(0)]
     bonds = range(len(sites)) if len(sites) > 1 else ()  # one site: no hops
     for k in bonds:
         q = (k + 1) % len(sites)
@@ -172,11 +187,13 @@ def _sector_layout(sites: tuple[float, ...]) -> _SectorLayout:
         raise_k = casimir[k] - m[:, k] * (m[:, k] + 1)
         lower_q = casimir[q] - m[:, q] * (m[:, q] - 1)
         src = np.flatnonzero((raise_k > 0) & (lower_q > 0))
-        dst = src - strides[k] + strides[q]
-        roots.append(np.sqrt(raise_k[src] * lower_q[src]))
-        rows += [src, dst]
-        cols += [dst, src]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+        srcs.append(src)
+        dsts.append(src - strides[k] + strides[q])
+        bond.append(np.full(src.size, k))
+        root.append(np.sqrt(raise_k[src] * lower_q[src]))
+    hops = (np.concatenate(bond), np.concatenate(root))
+    rows = np.concatenate([states, *srcs, *dsts])
+    cols = np.concatenate([states, *dsts, *srcs])
     keys, sector = np.unique(two_m.sum(axis=1), return_inverse=True)
     entry_sector = sector[rows]  # an entry never leaves its sector
     position = np.empty(dim, dtype=np.intp)
@@ -185,7 +202,8 @@ def _sector_layout(sites: tuple[float, ...]) -> _SectorLayout:
         idx = np.flatnonzero(sector == i)
         position[idx] = np.arange(idx.size)
         take = np.flatnonzero(entry_sector == i)
-        sectors.append((int(key), idx, take, (position[rows[take]], position[cols[take]])))
+        at = position[rows[take]] * idx.size + position[cols[take]]
+        sectors.append((int(key), idx, take, at))
     # every S+_k from the S_z = -1/2 sector (none for integer spin), by site
     minus = np.flatnonzero(keys[sector] == -1)
     raising = casimir - m[minus] * (m[minus] + 1)
@@ -193,12 +211,94 @@ def _sector_layout(sites: tuple[float, ...]) -> _SectorLayout:
     src = minus[at]
     starts = np.searchsorted(site, np.arange(len(sites) + 1))
     ladder = (starts, src, src - strides[site], np.sqrt(raising[at, site]) / 2)
-    for array in (m, casimir, *roots, *ladder):
+    outside = (np.flatnonzero(keys[sector] != -1), np.flatnonzero(keys[sector] != 1))
+    # the top sector (every m maximal) has one state, so some sector is dense
+    small = [(key, take, at, idx.size**2) for key, idx, take, at in sectors
+             if idx.size <= DENSE_SECTOR_MAX]
+    offsets = np.cumsum([0] + [size for *_, size in small])
+    dense = (
+        np.concatenate([take for _, take, _, _ in small]),
+        np.concatenate([at + offset for (_, _, at, _), offset in zip(small, offsets)]),
+        np.concatenate([np.full(take.size, key) for key, take, _, _ in small]),
+        int(offsets[-1]),
+    )
+    field = m**2 - casimir / 3.0
+    for array in (m, casimir, field, *hops, *ladder, *outside, *dense[:3]):
         array.setflags(write=False)
-    for _, idx, take, (row, col) in sectors:
-        for array in (idx, take, row, col):
+    for _, idx, take, at in sectors:
+        for array in (idx, take, at):
             array.setflags(write=False)
-    return _SectorLayout(m, casimir, tuple(roots), tuple(sectors), ladder)
+    return _SectorLayout(m, casimir, field, hops, tuple(sectors), ladder, outside, dense)
+
+
+
+
+def _cap_error(spec: RingSpec, dim_cap: int) -> DimensionCapError | None:
+    """The error of a ring whose full product dimension exceeds the cap."""
+    dim = spec.dim
+    if dim <= dim_cap:
+        return None
+    shown = dim if dim < 10**100 else f"10^{math.log10(dim):.1f}"
+    return DimensionCapError(f"ring dimension {shown} exceeds the cap {dim_cap}")
+
+
+def _entry_values(specs: Sequence[RingSpec], layout: _SectorLayout) -> np.ndarray:
+    """(rings, entries) Hamiltonian values of rings of one site-spin tuple, in
+    the layout's [diagonal, hops, mirrored hops] order; each row holds the
+    bits its ring gets alone.  Bond k adds J_k m_k m_{k+1} to the diagonal and
+    J_k/2 (S+_k S-_{k+1} + h.c.) off it."""
+    m, casimir = layout.m, layout.casimir
+    fields, bonds = np.array([(s.crystal_fields, s.bond_couplings) for s in specs]).swapaxes(0, 1)
+    # one (dim, L) @ (L, 1) product per ring: the BLAS call a lone ring makes
+    diag = (layout.field @ fields[:, :, None])[:, :, 0]
+    if m.shape[1] == 1:  # a one-site ring: tau . tau = s(s+1)
+        diag += bonds * casimir[0]
+    else:  # J_k m_k m_{k+1} of bond k = 1..L, added in that order
+        for k, j in enumerate(bonds.T[:, :, None]):
+            diag += j * m[:, k] * m[:, (k + 1) % m.shape[1]]
+    bond, root = layout.hops
+    amps = (bonds / 2)[:, bond] * root
+    return np.concatenate([diag, amps, amps], axis=1)
+
+
+class _Stack(NamedTuple):
+    """Sector blocks of rings of one site-spin tuple.  sectors is {2M:
+    (indices, blocks)}, blocks a (rings, n, n) array up to DENSE_SECTOR_MAX
+    states and a list of CSR arrays above; row r of dense holds ring r's
+    dense blocks one after another in ascending 2M."""
+
+    sectors: dict
+    dense: np.ndarray
+
+
+def _sector_stacks(
+    specs: Sequence[RingSpec], layout: _SectorLayout, lowest: float = -math.inf
+) -> _Stack:
+    """The stacked blocks of rings of one site-spin tuple, sectors 2M >= lowest."""
+    vals = _entry_values(specs, layout)
+    dense_take, places, keys, width = layout.dense
+    first = keys.searchsorted(lowest)
+    # bincount sums entries that share a place in entry order from 0.0, as
+    # np.add.at would; row r of the buffer holds ring r's dense blocks
+    places = np.add.outer(np.arange(len(specs)) * width, places[first:]).ravel()
+    buffer = np.bincount(places, vals[:, dense_take[first:]].ravel(), len(specs) * width)
+    buffer = buffer.reshape(-1, width)
+    sectors, end, start = {}, 0, width
+    for key, idx, take, at in layout.sectors:
+        n = idx.size
+        end += n * n if n <= DENSE_SECTOR_MAX else 0
+        if key < lowest:
+            continue
+        if n <= DENSE_SECTOR_MAX:
+            start = min(start, end - n * n)
+            sectors[key] = (idx, buffer[:, end - n * n : end].reshape(-1, n, n))
+        else:
+            from scipy import sparse
+
+            positions = divmod(at, n)
+            blocks = [sparse.csr_array((v[take], positions), shape=(n, n)) for v in vals]
+            sectors[key] = (idx, blocks)
+    return _Stack(sectors, buffer[:, start:])
 
 
 def build_ring_hamiltonian(spec: RingSpec, dim_cap: int = DEFAULT_DIM_CAP) -> dict:
@@ -206,36 +306,14 @@ def build_ring_hamiltonian(spec: RingSpec, dim_cap: int = DEFAULT_DIM_CAP) -> di
 
     Returns {2M: (indices, block)}: the ascending product-basis indices of
     the sector's states (read-only) and H restricted to them, a dense array
-    up to DENSE_SECTOR_MAX states and a scipy.sparse CSR array above.  Bond k
-    adds J_k m_k m_{k+1} to the diagonal and J_k/2 (S+_k S-_{k+1} + h.c.) off
-    it; the index tables come from `_sector_layout`, built once per spin tuple.
+    up to DENSE_SECTOR_MAX states and a scipy.sparse CSR array above.  The
+    index tables come from `_sector_layout`, built once per spin tuple.
     """
-    dim = spec.dim
-    if dim > dim_cap:
-        shown = dim if dim < 10**100 else f"10^{math.log10(dim):.1f}"
-        raise DimensionCapError(f"ring dimension {shown} exceeds the cap {dim_cap}")
-    layout = _sector_layout(spec.sites)
-    m, casimir = layout.m, layout.casimir
-    diag = (m**2 - casimir / 3.0) @ np.array(spec.crystal_fields)
-    vals = [diag]
-    if spec.n_sites == 1:  # a one-site ring: tau . tau = s(s+1)
-        diag += spec.bond_couplings[0] * casimir[0]
-    for k, (j, root) in enumerate(zip(spec.bond_couplings, layout.roots)):
-        diag += j * m[:, k] * m[:, (k + 1) % spec.n_sites]
-        amp = (j / 2) * root
-        vals += [amp, amp]
-    vals = np.concatenate(vals)
-    blocks = {}
-    for key, idx, take, positions in layout.sectors:
-        if idx.size <= DENSE_SECTOR_MAX:
-            block = np.zeros((idx.size, idx.size))
-            np.add.at(block, positions, vals[take])
-        else:
-            from scipy import sparse
-
-            block = sparse.csr_array((vals[take], positions), shape=(idx.size, idx.size))
-        blocks[key] = (idx, block)
-    return blocks
+    error = _cap_error(spec, dim_cap)
+    if error:
+        raise error
+    stack = _sector_stacks([spec], _sector_layout(spec.sites))
+    return {key: (idx, blocks[0]) for key, (idx, blocks) in stack.sectors.items()}
 
 
 def total_sz_operator(spec: RingSpec) -> np.ndarray:
@@ -257,23 +335,49 @@ class QubitEncoding:
     gap: float
 
 
-def _canonical_phase(vec: np.ndarray) -> np.ndarray:
-    mags = np.abs(vec)
-    if mags.max() == 0.0:
-        return vec
-    pivot = vec[int(np.argmax(mags >= (1.0 - PIVOT_RTOL) * mags.max()))]
-    return vec * (pivot.conj() / abs(pivot))
+def _pivot_phases(vecs: np.ndarray) -> np.ndarray:
+    """The unit factor of each row of `vecs` that makes its first entry within
+    PIVOT_RTOL of its largest magnitude real positive (1 for a zero row)."""
+    mags = np.abs(vecs)
+    top = mags.max(axis=1, keepdims=True)
+    first = (mags >= (1.0 - PIVOT_RTOL) * top).argmax(axis=1)
+    pivot = np.where(top[:, 0] == 0.0, 1.0, vecs[np.arange(len(vecs)), first])
+    return pivot.conj() / abs(pivot)
 
 
-def _transverse_elements(ket0: np.ndarray, ket1: np.ndarray, spec: RingSpec) -> np.ndarray:
-    """<1|tau_{k,x}|0> of every site k: one gather over the ladder table, one
-    sum per site.  Refuses kets with weight outside the -1/2 and +1/2 sectors."""
-    starts, src, dst, half_roots = _sector_layout(spec.sites).ladder
-    if np.delete(ket0, src).any() or np.delete(ket1, dst).any():
+def _transverse_elements(ket0: np.ndarray, ket1: np.ndarray, layout: _SectorLayout) -> np.ndarray:
+    """<1|tau_{k,x}|0> of every site k for each row of the (rings, dim) kets:
+    one gather over the ladder table, one sum per site.  Refuses kets with
+    weight outside the -1/2 and +1/2 sectors (or of another ring's length)."""
+    starts, src, dst, half_roots = layout.ladder
+    outside0, outside1 = layout.outside
+    if (
+        {ket0.shape[1], ket1.shape[1]} != {len(layout.m)}
+        or np.count_nonzero(ket0.take(outside0, axis=1))
+        or np.count_nonzero(ket1.take(outside1, axis=1))
+    ):
         raise ValidationError("doublet kets must lie in the S_z = -1/2 and +1/2 sectors")
-    terms = np.append(ket1[dst].conj() * half_roots * ket0[src], 0.0)
+    terms = ket1.take(dst, axis=1).conj() * half_roots * ket0.take(src, axis=1)
+    terms = np.concatenate([terms, np.zeros((len(terms), 1))], axis=1)
     # reduceat gives an empty segment (a spin-0 site) its first term: zero it
-    return np.where(starts[1:] > starts[:-1], np.add.reduceat(terms, starts[:-1]), 0.0)
+    return np.where(starts[1:] > starts[:-1], np.add.reduceat(terms, starts[:-1], axis=1), 0.0)
+
+
+def _gauge(ket0: np.ndarray, ket1: np.ndarray, layout: _SectorLayout | None) -> tuple:
+    """`regauge` of each row pair of (rings, dim) kets.  With a layout it also
+    returns every site's <1|tau_x|0> of the gauged kets (None without)."""
+    ket0 = ket0 * _pivot_phases(ket0)[:, None]
+    if layout is None:
+        return ket0, ket1 * _pivot_phases(ket1)[:, None], None
+    x10 = _transverse_elements(ket0, ket1, layout)
+    starts, _, _, half_roots = layout.ladder
+    # site 1's largest |tau_x| entry is in its part of the ladder table
+    site = x10[:, 0]
+    by_site = abs(site) > 1e-12 * max(half_roots[: starts[1]].max(initial=0.0), 1.0)
+    phase = site / np.where(by_site, abs(site), 1.0)  # exactly +-1 on real kets
+    if not by_site.all():
+        phase = np.where(by_site, phase, _pivot_phases(ket1))
+    return ket0, ket1 * phase[:, None], x10 * phase.conj()[:, None]
 
 
 def regauge(encoding: QubitEncoding, spec: RingSpec | None = None) -> QubitEncoding:
@@ -285,26 +389,22 @@ def regauge(encoding: QubitEncoding, spec: RingSpec | None = None) -> QubitEncod
     in the -1/2 and +1/2 sectors) is real non-negative.  Without a spec, or
     when that element vanishes, |1> falls back to the largest-entry rule.
     """
-    ket0 = _canonical_phase(np.asarray(encoding.ket0))
-    ket1 = np.asarray(encoding.ket1)
-    if spec is not None:
-        x10 = _transverse_elements(ket0, ket1, spec)[0]
-        starts, _, _, half_roots = _sector_layout(spec.sites).ladder
-        # site 1's largest |tau_x| entry is in its part of the ladder table
-        if abs(x10) > 1e-12 * max(half_roots[: starts[1]].max(initial=0.0), 1.0):
-            ket1 = ket1 * (x10 / abs(x10))  # exactly +-1 on real kets
-            return replace(encoding, ket0=ket0, ket1=ket1)
-    return replace(encoding, ket0=ket0, ket1=_canonical_phase(ket1))
+    layout = None if spec is None else _sector_layout(spec.sites)
+    kets = (np.asarray(encoding.ket0)[None], np.asarray(encoding.ket1)[None])
+    ket0, ket1, _ = _gauge(*kets, layout)
+    return replace(encoding, ket0=ket0[0], ket1=ket1[0])
 
 
 def _lowest_levels(block, count: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """The `count` lowest eigenvalues of one real symmetric sector block,
-    ascending, with their eigenvectors as columns.  Dense blocks take the
-    full eigendecomposition; CSR blocks take Lanczos (`eigsh`) from a fixed
-    start vector, so repeated runs return the same bytes."""
+    ascending, with their eigenvectors as columns.  A dense block, or a
+    (rings, n, n) stack of them (values (rings, count), vectors (rings, n,
+    count)), takes the full eigendecomposition; a CSR block takes Lanczos
+    (`eigsh`) from a fixed start vector, so repeated runs return the same
+    bytes."""
     if isinstance(block, np.ndarray):
         eig = hermitian_eigendecompose(block)
-        return eig.values[:count], eig.vectors[:, :count]
+        return eig.values[..., :count], eig.vectors[..., :count]
     from scipy.sparse.linalg import eigsh
 
     asym = max_entry_norm(block - block.T)
@@ -320,48 +420,55 @@ def _lowest_levels(block, count: int, scale: float) -> tuple[np.ndarray, np.ndar
     return values, vectors
 
 
-def _gershgorin_floor(block) -> float:
-    """min_i (H_ii - sum_{j != i} |H_ij|) of a dense or CSR block: no
-    eigenvalue lies below it."""
-    centre = block.diagonal()
-    return float((centre - (abs(block).sum(axis=1) - abs(centre))).min())
+def _stack_levels(blocks, rings: np.ndarray, count: int, scale: np.ndarray) -> tuple:
+    """`_lowest_levels` of some rings of a stacked sector, values (rings,
+    count) and vectors (rings, n, count): one eigh for a dense stack,
+    Lanczos per CSR block."""
+    if isinstance(blocks, np.ndarray):
+        return _lowest_levels(blocks if rings.size == len(blocks) else blocks[rings], count, scale)
+    levels = [_lowest_levels(blocks[i], count, scale[i]) for i in rings]
+    return np.array([v for v, _ in levels]), np.array([w for _, w in levels])
 
 
-def ground_doublet(sectors: dict, spec: RingSpec) -> QubitEncoding:
-    """Extract the qubit encoding from a ring's sector blocks.
+@functools.lru_cache(maxsize=16)
+def _row_places(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """For n x n blocks of these sizes stored one after another, row by row:
+    where each row starts, where its diagonal entry lies, and each block's
+    first row."""
+    n = np.array(sizes, dtype=np.intp)
+    block_at, first_row = np.cumsum(n**2) - n**2, np.cumsum(n) - n
+    block = np.repeat(np.arange(n.size), n)
+    row = np.arange(n.sum()) - first_row[block]
+    row_at = block_at[block] + row * n[block]
+    return row_at, row_at + row, first_row
 
-    |1> is the S_z = +1/2 ground state and |0> its spin flip m -> -m: time
-    reversal makes sector -1/2 exactly +1/2 reversed (refused otherwise), so
-    only +1/2 is diagonalised.  The gap, to the second +1/2 level or the
-    ground level of a sector 2M > 1, must exceed GROUND_CLUSTER_RTOL times
-    the largest block entry.  Sectors 2M > 1 are visited in ascending order,
-    and one whose Gershgorin floor lies above the lowest level so far by
-    more than that window is skipped: it cannot hold the level of the gap.
-    """
-    if 1 not in sectors:
-        raise GroundDoubletError("integer total spin: no S_z = +-1/2 doublet")
-    (idx0, block0), (idx1, block1) = sectors[-1], sectors[1]
-    flipped = np.array_equal(idx0, (spec.dim - 1 - idx1)[::-1])
-    if not flipped or (block0 != block1[::-1, ::-1]).sum():
-        raise ValidationError("-1/2 sector is not the spin flip of +1/2: H breaks time reversal")
-    scale = max(max(max_entry_norm(block) for _, block in sectors.values()), 1.0)
-    window = GROUND_CLUSTER_RTOL * scale
-    plus, vec1 = _lowest_levels(block1, 2, scale)
-    above = list(plus[1:])
-    for key in sorted(key for key in sectors if key > 1):
-        block = sectors[key][1]
-        # a sector whose Gershgorin floor clears the lowest level so far by
-        # the window cannot lower it, even after rounding in floor or solver
-        if above and _gershgorin_floor(block) > min(above) + window:
-            continue
-        above.append(_lowest_levels(block, 1, scale)[0][0])
-    gap = float(min(above) - plus[0]) if above else math.inf
-    if not gap > window:
-        raise GroundDoubletError(f"no S_z = +-1/2 ground doublet (gap {gap:.3e})")
-    ket1 = np.zeros(spec.dim)
-    ket1[idx1] = vec1[:, 0]
-    raw = QubitEncoding(ket0=ket1[::-1], ket1=ket1, gap=gap)
-    return regauge(raw, spec)
+
+def _bounds(stack: _Stack) -> tuple[np.ndarray, dict]:
+    """Each ring's largest |entry| over the stacked sectors, and {2M: each
+    ring's Gershgorin floor min_i (H_ii - sum_{j != i} |H_ij|)}, below every
+    eigenvalue of its block.  All dense sectors take one pass."""
+    dense = sorted(key for key, (_, blocks) in stack.sectors.items()
+                   if isinstance(blocks, np.ndarray))
+    sizes = tuple(stack.sectors[key][0].size for key in dense)
+    row_at, diagonal, first_row = _row_places(sizes)
+    mags, centre = np.abs(stack.dense), stack.dense[:, diagonal]
+    rows = np.add.reduceat(mags, row_at, axis=1)
+    floors = np.minimum.reduceat(centre - (rows - np.abs(centre)), first_row, axis=1)
+    largest, floors = mags.max(axis=1), dict(zip(dense, floors.T))
+    for key, (_, blocks) in stack.sectors.items():
+        if key not in floors:  # CSR blocks, one by one
+            centres = [block.diagonal() for block in blocks]
+            sums = [abs(block).sum(axis=1) for block in blocks]
+            floors[key] = np.array([(c - (r - abs(c))).min() for c, r in zip(centres, sums)])
+            largest = np.maximum(largest, [max_entry_norm(block) for block in blocks])
+    return largest, floors
+
+
+def _breaks_time_reversal(blocks0, blocks1) -> bool:
+    """Whether any ring's -1/2 block differs from its +1/2 block reversed."""
+    if isinstance(blocks1, np.ndarray):
+        return bool((blocks0 != blocks1[:, ::-1, ::-1]).any())
+    return any((b0 != b1[::-1, ::-1]).sum() for b0, b1 in zip(blocks0, blocks1))
 
 
 @dataclass(frozen=True)
@@ -378,22 +485,149 @@ class SiteMatrixElements:
     z11: np.ndarray
 
 
+def _site_elements(
+    ket0: np.ndarray, ket1: np.ndarray, x10: np.ndarray, layout: _SectorLayout
+) -> list[SiteMatrixElements]:
+    """Each row pair's elements, given its x10 row."""
+    # tau_z is diagonal in the product basis: <v|tau_{k,z}|v> = sum_i |v_i|^2 m_k(i)
+    z = np.abs(np.concatenate([ket0, ket1], axis=1).reshape(len(ket0), 2, -1)) ** 2 @ layout.m
+    return list(map(SiteMatrixElements, x10, z[:, 0], z[:, 1]))
+
+
+def _doublets(stack: _Stack, layout: _SectorLayout) -> list:
+    """The ground doublet and matrix elements of each ring of one site-spin
+    tuple, from their stacked sector blocks: (QubitEncoding,
+    SiteMatrixElements), or the GroundDoubletError of a ring without a
+    doublet.  A malformed stack raises ValidationError.
+
+    |1> is the S_z = +1/2 ground state and |0> its spin flip m -> -m: time
+    reversal makes sector -1/2 exactly +1/2 reversed (refused otherwise), so
+    only +1/2 is diagonalised.  The gap, to the second +1/2 level or the
+    ground level of a sector 2M > 1, must exceed GROUND_CLUSTER_RTOL times
+    the ring's largest block entry.  Sectors 2M > 1 are visited in ascending
+    order, each with one eigh over the rings that need it; a ring skips a
+    sector whose Gershgorin floor lies above its lowest level so far by more
+    than that window, since the sector cannot hold the level of the gap.
+    """
+    sectors, size = stack.sectors, len(stack.dense)
+    if 1 not in sectors:
+        return [GroundDoubletError("integer total spin: no S_z = +-1/2 doublet")] * size
+    (idx0, blocks0), (idx1, blocks1) = sectors[-1], sectors[1]
+    dim = layout.m.shape[0]
+    flipped = idx0.size == idx1.size and (idx0 == dim - 1 - idx1[::-1]).all()
+    if not flipped or _breaks_time_reversal(blocks0, blocks1):
+        raise ValidationError("-1/2 sector is not the spin flip of +1/2: H breaks time reversal")
+    largest, floors = _bounds(stack)
+    scale = np.maximum(largest, 1.0)
+    window = GROUND_CLUSTER_RTOL * scale
+    plus, vectors = _stack_levels(blocks1, np.arange(size), 2, scale)
+    # each ring's lowest level above its doublet so far (inf for none yet)
+    low = plus[:, 1].copy() if plus.shape[1] > 1 else np.full(size, np.inf)
+    above = sorted(key for key in sectors if key > 1)
+    floors = np.array([floors[key] for key in above]).reshape(len(above), size)
+    j = 0
+    while j < len(above):
+        # a ring skips each sector whose floor clears its lowest level so far
+        # by the window: even after rounding in floor or solver, the sector
+        # cannot lower that level; the next sector some ring needs is solved
+        need = ~(floors[j:] > low + window)
+        later = np.logical_or.reduce(need, axis=1).argmax()
+        rings = need[later].nonzero()[0]
+        if not rings.size:  # no ring needs any later sector
+            break
+        j += later
+        levels = _stack_levels(sectors[above[j]][1], rings, 1, scale)[0]
+        low[rings] = np.minimum(low[rings], levels[:, 0])
+        j += 1
+    gap = low - plus[:, 0]
+    ket1 = np.zeros((size, dim))
+    ket1[:, idx1] = vectors[:, :, 0]
+    ket0, ket1, x10 = _gauge(ket1[:, ::-1], ket1, layout)
+    elements = _site_elements(ket0, ket1, x10, layout)
+    return [
+        (QubitEncoding(ket0=ket0[i], ket1=ket1[i], gap=float(gap[i])), elements[i])
+        if gap[i] > window[i]
+        else GroundDoubletError(f"no S_z = +-1/2 ground doublet (gap {gap[i]:.3e})")
+        for i in range(size)
+    ]
+
+
+def _unwrap(outcome):
+    """An encoding outcome, raised when it is an error."""
+    if isinstance(outcome, RingStarError):
+        raise outcome
+    return outcome
+
+
+def ground_doublet(sectors: dict, spec: RingSpec) -> QubitEncoding:
+    """Extract the qubit encoding from one ring's sector blocks {2M:
+    (indices, block)} as `build_ring_hamiltonian` returns them: `_doublets`
+    on a stack of one ring, raising the error it reports."""
+    stacked = {
+        key: (idx, block[None] if isinstance(block, np.ndarray) else [block])
+        for key, (idx, block) in sectors.items()
+    }
+    dense = [stacked[key][1].reshape(1, -1) for key in sorted(stacked)
+             if isinstance(stacked[key][1], np.ndarray)]
+    stack = _Stack(stacked, np.concatenate(dense, axis=1))
+    return _unwrap(_doublets(stack, _sector_layout(spec.sites))[0])[0]
+
+
 def doublet_matrix_elements(
     encoding: QubitEncoding, spec: RingSpec
 ) -> SiteMatrixElements:
     """Every site's elements, from the layout's ladder and m tables."""
-    x10 = _transverse_elements(encoding.ket0, encoding.ket1, spec)
-    # tau_z is diagonal in the product basis: <v|tau_{k,z}|v> = sum_i |v_i|^2 m_k(i)
-    z00, z11 = np.abs([encoding.ket0, encoding.ket1]) ** 2 @ _sector_layout(spec.sites).m
-    return SiteMatrixElements(x10=x10, z00=z00, z11=z11)
+    layout = _sector_layout(spec.sites)
+    ket0, ket1 = np.asarray(encoding.ket0)[None], np.asarray(encoding.ket1)[None]
+    return _site_elements(ket0, ket1, _transverse_elements(ket0, ket1, layout), layout)[0]
+
+
+def _encode_stack(specs: Sequence[RingSpec], layout: _SectorLayout) -> list:
+    """`_doublets` of rings of one site-spin tuple from their sectors 2M >= -1
+    (those below are mirrors of those above).  A stack that raises is
+    encoded ring by ring, so each ring keeps the error it raises alone."""
+    try:
+        return _doublets(_sector_stacks(specs, layout, lowest=-1), layout)
+    except RingStarError as error:
+        if len(specs) == 1:
+            return [error]
+        return [_encode_stack([spec], layout)[0] for spec in specs]
+
+
+def ring_qubit_encodings(
+    specs: Sequence[RingSpec], dim_cap: int = DEFAULT_DIM_CAP
+) -> list:
+    """Encode many rings in one call.  Entry i is ring i's (QubitEncoding,
+    SiteMatrixElements), or the RingStarError that encoding it alone raises:
+    a ring over the cap, without a doublet or with a malformed Hamiltonian
+    fails alone, and the caller decides which failure to report.
+
+    Rings of one site-spin tuple are encoded as one stack (several past
+    STACK_ENTRIES_MAX numbers of dense blocks): one build of the sectors
+    2M >= -1 and one `eigh` per dense sector, each ring getting the bytes it
+    gets alone.  The gauge reference is site 1.
+    """
+    outcomes = [_cap_error(spec, dim_cap) for spec in specs]
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        if outcomes[i] is None:
+            groups.setdefault(spec.sites, []).append(i)
+    for sites, members in groups.items():
+        layout = _sector_layout(sites)
+        per_stack = max(1, STACK_ENTRIES_MAX // layout.dense[3])
+        for start in range(0, len(members), per_stack):
+            stack = members[start : start + per_stack]
+            for i, outcome in zip(stack, _encode_stack([specs[i] for i in stack], layout)):
+                outcomes[i] = outcome
+    return outcomes
 
 
 def ring_qubit_encoding(
     spec: RingSpec, dim_cap: int = DEFAULT_DIM_CAP
 ) -> tuple[QubitEncoding, SiteMatrixElements]:
-    """Full pipeline for one ring: sector blocks, doublet, matrix elements.
+    """Full pipeline for one ring: sector blocks, doublet, matrix elements;
+    `ring_qubit_encodings` of one ring, raising its error.
 
     The gauge reference is site 1 (the first site).
     """
-    enc = ground_doublet(build_ring_hamiltonian(spec, dim_cap=dim_cap), spec)
-    return enc, doublet_matrix_elements(enc, spec)
+    return _unwrap(ring_qubit_encodings([spec], dim_cap)[0])

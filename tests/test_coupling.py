@@ -1,13 +1,15 @@
 """Effective pair couplings extracted from linked ring doublets."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from ringstar import coupling
+from ringstar import cli, coupling
 from ringstar.coupling import (
     Linker,
     SweepRow,
@@ -19,7 +21,12 @@ from ringstar.coupling import (
     sweep_anisotropy_ad,
     sweep_anisotropy_b,
 )
-from ringstar.errors import AnisotropyDivergenceError, ValidationError
+from ringstar.errors import (
+    AnisotropyDivergenceError,
+    DimensionCapError,
+    GroundDoubletError,
+    ValidationError,
+)
 from ringstar.rings import (
     QubitEncoding,
     RingSpec,
@@ -27,6 +34,7 @@ from ringstar.rings import (
     doublet_matrix_elements,
     regauge,
     ring_qubit_encoding,
+    ring_qubit_encodings,
 )
 
 SPIN_HALF = RingSpec(sites=(0.5,), bond_couplings=(0.0,), crystal_fields=(0.0,))
@@ -434,14 +442,19 @@ def test_ad_sweep_row_statuses():
 
 @pytest.fixture
 def encoded(monkeypatch):
-    """The specs `ringstar.coupling` encodes, in call order."""
+    """The specs `ringstar.coupling` encodes, alone or stacked, in call order."""
     specs = []
 
     def counting(spec, dim_cap):
         specs.append(spec)
         return ring_qubit_encoding(spec, dim_cap=dim_cap)
 
+    def counting_stack(batch, dim_cap):
+        specs.extend(batch)
+        return ring_qubit_encodings(batch, dim_cap=dim_cap)
+
     monkeypatch.setattr("ringstar.coupling.ring_qubit_encoding", counting)
+    monkeypatch.setattr("ringstar.coupling.ring_qubit_encodings", counting_stack)
     return specs
 
 
@@ -464,6 +477,42 @@ def test_star_from_rings_checks_every_linker_set_before_any_ed(encoded):
     with pytest.raises(ValidationError, match="linker ring site 3 out of range 1..2"):
         star_from_rings(central, [ring, ring, ring], links)
     assert encoded == []
+
+
+@pytest.mark.parametrize("outer, error, exit_code, stderr", [
+    ((2, 3), GroundDoubletError, 3,
+     "error [validation]: integer total spin: no S_z = +-1/2 doublet\n"),
+    ((3, 2), DimensionCapError, 5,
+     "error [dimension-cap]: ring dimension 192 exceeds the cap 100\n"),
+])
+def test_the_first_failing_ring_in_first_use_order_decides(tmp_path, capsys, outer, error,
+                                                          exit_code, stderr):
+    # central first, then the outer rings in config order: x = 2 has integer
+    # total spin (no doublet), x = 3 has 192 states (over the cap)
+    rings = [RingSpec.cr_ni(x) for x in outer]
+    with pytest.raises(error) as raised:
+        star_from_rings(RingSpec.cr_ni(1), rings, [[Linker(1, 1, 1.0)]] * 2, dim_cap=100)
+    assert type(raised.value) is error
+    link = {"ring_site": 1, "central_site": 1, "strength": 1.0}
+    payload = {"mode": "microscopic", "dim_cap": 100, "microscopic": {
+        "central": {"x": 1}, "rings": [{"x": x} for x in outer], "linkers": [[link]] * 2}}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == exit_code
+    assert capsys.readouterr().err == stderr
+    assert not out.exists()
+
+
+def test_ad_grid_points_without_a_doublet_get_their_own_rows():
+    # a = -3 with d <= 0 leaves the x = 3 ring without a doublet; every other
+    # point is the one-point sweep's row, and a cap fails the whole grid
+    links = [Linker(1, 2, 1.0), Linker(4, 4, 0.7)]
+    a_grid, d_grid = [-3.0, 0.9], [-5.0, 0.3]
+    rows = sweep_anisotropy_ad(a_grid, d_grid, links)
+    assert [row.status for row in rows] == ["no-doublet", "ok", "ok", "ok"]
+    assert rows == [sweep_anisotropy_ad([a], [d], links)[0] for a in a_grid for d in d_grid]
+    with pytest.raises(DimensionCapError, match="ring dimension 192 exceeds the cap 100"):
+        sweep_anisotropy_ad(a_grid, d_grid, links, dim_cap=100)
 
 
 def test_linker_site_messages_give_the_valid_range():

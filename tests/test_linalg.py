@@ -95,6 +95,36 @@ def test_hermiticity_tolerance_is_relative():
         hermitian_eigendecompose(np.array([[1.0, 1e-6], [0.0, -1.0]]))
 
 
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_a_stack_gives_each_matrix_its_own_bits(complex_entries):
+    rng = np.random.default_rng(5)
+    stack = np.array([random_hermitian(rng, 6) * 10.0**k for k in range(-3, 4)])
+    if not complex_entries:
+        stack = stack.real.copy()
+    stack = stack.reshape(7, 1, 6, 6)  # any leading shape
+    eig = hermitian_eigendecompose(stack)
+    assert eig.values.shape == (7, 1, 6) and eig.vectors.shape == (7, 1, 6, 6)
+    for index in np.ndindex(7, 1):
+        alone = hermitian_eigendecompose(stack[index])
+        assert eig.values[index].tobytes() == alone.values.tobytes()
+        assert eig.vectors[index].tobytes() == alone.vectors.tobytes()
+
+
+def test_a_stack_checks_each_matrix_against_its_own_scale():
+    # asymmetry 1e-9 is far below 1e-12 of the large matrix's scale, but not
+    # of the small matrix's own
+    small = np.array([[1.0, 1e-9], [0.0, -1.0]])
+    large = np.array([[1e6, 0.0], [0.0, -1e6]])
+    hermitian_eigendecompose(np.array([large, large + small]))
+    for stack in (np.array([large, small]), np.array([small, large])):
+        with pytest.raises(ValidationError, match=r"asymmetry 1\.000e-09 exceeds 1e-12 \* 1\.000e\+00"):
+            hermitian_eigendecompose(stack)
+    with pytest.raises(ValidationError, match="non-finite"):
+        hermitian_eigendecompose(np.array([large, [[np.inf, 0.0], [0.0, 1.0]]]))
+    with pytest.raises(ValidationError, match="square"):
+        hermitian_eigendecompose(np.zeros((2, 2, 3)))
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_evolution_matches_taylor_exponential(dim, seed):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringstar import rings
-from ringstar.errors import DimensionCapError, GroundDoubletError, ValidationError
+from ringstar.errors import DimensionCapError, GroundDoubletError, RingStarError, ValidationError
 from ringstar.linalg import hermitian_eigendecompose
 from ringstar.rings import (
     DENSE_SECTOR_MAX,
@@ -23,6 +23,7 @@ from ringstar.rings import (
     ground_doublet,
     regauge,
     ring_qubit_encoding,
+    ring_qubit_encodings,
     total_sz_operator,
 )
 
@@ -450,18 +451,99 @@ def test_property_gershgorin_skip_never_moves_the_gap(spec):
     assert ground_doublet(sectors, spec).gap == gap
 
 
+def assert_same_outcome(outcome, reference):
+    """Two encoding outcomes are the same error or the same bytes."""
+    if isinstance(reference, RingStarError):
+        assert type(outcome) is type(reference) and str(outcome) == str(reference)
+        return
+    (enc, elems), (ref_enc, ref_elems) = outcome, reference
+    assert enc.gap == ref_enc.gap
+    for got, want in [(enc.ket0, ref_enc.ket0), (enc.ket1, ref_enc.ket1), (elems.x10, ref_elems.x10),
+                      (elems.z00, ref_elems.z00), (elems.z11, ref_elems.z11)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# the ferromagnetic x = 3 ring: its S = 11/2 multiplet leaves no gap above the
+# window, while rings of its shape beside it in a stack keep theirs
+NO_GAP = RingSpec((1.5, 1.5, 1.5, 1.0), (-17.0,) * 4, (0.0,) * 4)
+
+
+@st.composite
+def ring_lists(draw):
+    """Lists of x = 1, 2 and 3 rings (x = 2 has integer total spin, so no
+    doublet) with random J, a and d; symmetric substitute bonds tie the
+    pivot of |1>, which then takes the largest-entry gauge."""
+    coeff = st.floats(min_value=-2.0, max_value=2.0, allow_subnormal=False)
+    rings = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        x = draw(st.sampled_from([1, 2, 3]))
+        exchange = draw(st.floats(min_value=-20.0, max_value=20.0, allow_subnormal=False))
+        rings.append(RingSpec.cr_ni(x, exchange, draw(coeff), draw(coeff), draw(st.booleans())))
+    return rings
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_lists())
+@example([RingSpec.cr_ni(3), NO_GAP, RingSpec.cr_ni(3, 14.0, 1.1, 0.45), RingSpec.cr_ni(1)])
+@example([RingSpec.cr_ni(3, symmetric_substitute_bonds=True), RingSpec.cr_ni(2), RingSpec.cr_ni(3)])
+@example([RingSpec.cr_ni(1, -17.0, 0.9, 0.3, True), RingSpec.cr_ni(1, 17.0, -1.0, 0.0, True)])
+def test_property_stacked_encodings_equal_one_ring_at_a_time(rings):
+    outcomes = ring_qubit_encodings(rings)
+    assert len(outcomes) == len(rings)
+    for spec, outcome in zip(rings, outcomes):
+        assert_same_outcome(outcome, ring_qubit_encodings([spec])[0])
+        if spec == NO_GAP:
+            assert isinstance(outcome, GroundDoubletError) and "gap" in str(outcome)
+
+
+def test_a_ring_that_breaks_its_stack_keeps_its_own_error():
+    # an infinite exchange fills the blocks with inf and nan: the stacked
+    # solve raises, so each ring of the stack is encoded alone; x = 5 rings
+    # take Lanczos on their CSR sectors, one ring at a time
+    broken = RingSpec.cr_ni(3, exchange=np.inf)
+    rings = [RingSpec.cr_ni(3), broken, RingSpec.cr_ni(5), RingSpec.cr_ni(7),
+             RingSpec.cr_ni(5, exchange=-9.0, ratio=1.3, crystal_field=-0.8), RingSpec.cr_ni(3, 15.0)]
+    with np.errstate(invalid="ignore"):  # inf * 0 in the broken ring's values
+        outcomes = ring_qubit_encodings(rings)
+        alone = [ring_qubit_encodings([spec])[0] for spec in rings]
+        with pytest.raises(ValidationError, match="breaks time reversal"):
+            ring_qubit_encoding(broken)
+    assert isinstance(outcomes[1], ValidationError) and isinstance(outcomes[3], DimensionCapError)
+    assert not isinstance(outcomes[0], RingStarError) and not isinstance(outcomes[2], RingStarError)
+    for outcome, reference in zip(outcomes, alone):
+        assert_same_outcome(outcome, reference)
+
+
+def test_rings_past_the_stack_bound_take_several_stacks(monkeypatch):
+    # STACK_ENTRIES_MAX bounds the dense blocks held at once: with room for
+    # two x = 3 rings, five rings take three builds and keep their bytes
+    specs = [RingSpec.cr_ni(3, 14.0 + k) for k in range(5)]
+    whole = ring_qubit_encodings(specs)
+    builds, build = [], rings._sector_stacks
+
+    def counting(stack, layout, lowest):
+        builds.append(len(stack))
+        return build(stack, layout, lowest)
+
+    monkeypatch.setattr(rings, "_sector_stacks", counting)
+    monkeypatch.setattr(rings, "STACK_ENTRIES_MAX", 2 * _sector_layout(specs[0].sites).dense[3])
+    for outcome, reference in zip(ring_qubit_encodings(specs), whole):
+        assert_same_outcome(outcome, reference)
+    assert builds == [2, 2, 1]
+
+
 def test_default_x3_encoding_diagonalises_two_sectors(monkeypatch):
     # 2M = +1 and 3: -1 is the spin flip of +1, and the Gershgorin floors of
     # 2M = 5, 7, 9 and 11 lie above the 2M = 3 level, so they are skipped
     sizes = []
 
     def counting(matrix):
-        sizes.append(matrix.shape[0])
+        sizes.append(matrix.shape[-3:])  # a lone ring is a stack of one
         return hermitian_eigendecompose(matrix)
 
     monkeypatch.setattr(rings, "hermitian_eigendecompose", counting)
     enc, _ = ring_qubit_encoding(RingSpec.cr_ni(3))
-    assert sizes == [34, 28]
+    assert sizes == [(1, 34, 34), (1, 28, 28)]
     assert abs(enc.gap - 24.72156756852044) < 1e-8
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError, ValidationError
-from .linalg import HERMITICITY_RTOL, hermitian_eigendecompose, max_entry_norm
+from .linalg import HERMITICITY_RTOL, hermitian_eigendecompose, lanczos, max_entry_norm
 from .star import StarNetwork, as_subspace_state, propagate
 
 # 14 qubits peak at about 9 MB: partner indices and hop weights (1.7 MB each),
@@ -151,25 +151,14 @@ def krylov_project(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`project_to_subspace` of exp(-i H t) |state> at every time of a 1-d grid.
 
-    Lanczos (fully reorthogonalised) runs until the next residual is at most
+    `linalg.lanczos` runs until the next residual is at most
     KRYLOV_RTOL * ||H||_inf or the basis V spans the space, so V is invariant:
     with T = U L U^T, the state at t is |state| * c(t) V, c(t) = U e^(-iLt) U^T e_1.
     Population that H moves out of the sector shows in the leakage."""
     v = np.asarray(full_state, dtype=np.complex128)
     norm = float(np.linalg.norm(v))
-    basis, alphas, betas = [v / norm], [], []
     tol = KRYLOV_RTOL * h_full.norm_inf()
-    while True:
-        vs = np.array(basis)
-        w = h_full @ basis[-1]
-        alphas.append(np.vdot(basis[-1], w).real)
-        for _ in range(2):  # classical Gram-Schmidt, repeated for orthogonality
-            w -= (vs.conj() @ w) @ vs
-        beta = float(np.linalg.norm(w))
-        if beta <= tol or len(basis) == v.size:
-            break
-        betas.append(beta)
-        basis.append(w / beta)
+    ((vs, alphas, betas),) = lanczos(lambda _, w: (h_full @ w[0])[None], v[None], tol)
     tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     eig = hermitian_eigendecompose(tridiagonal)
     phases = np.exp(-1j * np.outer(np.asarray(times, dtype=np.float64), eig.values))

@@ -29,19 +29,26 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionCapError, GroundDoubletError, RingStarError, ValidationError
-from .linalg import HERMITICITY_RTOL, hermitian_eigendecompose, max_entry_norm
+from .linalg import HERMITICITY_RTOL, hermitian_eigendecompose, lanczos
 
 # Largest full product dimension of a ring (a config's `dim_cap`; larger
 # rings exit with code 5).  The sector route holds O(L * dim) numbers: the
-# cached sector layout, blocks with at most 2L + 1 entries per row, and the
-# two doublet kets.  x = 5 (dim 3072) peaks 4.5 MB above the imports, x = 7
-# 39 MB, the layout included.
+# cached sector layout, blocks with at most 2L + 1 entries per row, Lanczos
+# bases of a few dozen sector vectors and the two doublet kets.  x = 5 (dim
+# 3072) peaks 3.1 MB above the imports, x = 7 50 MB, the layout included.
 DEFAULT_DIM_CAP = 4096
 
-DENSE_SECTOR_MAX = 200  # larger sectors are diagonalised by sparse Lanczos
+DENSE_SECTOR_MAX = 200  # larger sectors are `_SectorOperator`s for `lanczos`
+
+# Lanczos stops at a Ritz residual of this fraction of the largest H entry:
+# a ket's elements move by about KET_RTOL, a level by LEVEL_RTOL squared
+# over the distance to the next one.  Every pair must be within 1e-10.
+KET_RTOL = 1e-14
+LEVEL_RTOL = 1e-10
 
 # Rings of one site-spin tuple encoded together hold at most this many
-# numbers (8 MB) in their dense sector blocks; more take several stacks.
+# numbers (8 MB) in their dense sector blocks and Lanczos bases, a basis
+# counted as 64 vectors of the largest sector; more take several stacks.
 STACK_ENTRIES_MAX = 2**20
 
 # minimum doublet gap, relative to the largest Hamiltonian entry: levels
@@ -82,12 +89,11 @@ class RingSpec:
                 "sites, bond_couplings and crystal_fields must have equal length"
             )
         object.__setattr__(self, "sites", tuple(_check_spin(s) for s in self.sites))
-        object.__setattr__(
-            self, "bond_couplings", tuple(float(j) for j in self.bond_couplings)
-        )
-        object.__setattr__(
-            self, "crystal_fields", tuple(float(d) for d in self.crystal_fields)
-        )
+        for name in ("bond_couplings", "crystal_fields"):
+            values = tuple(float(v) for v in getattr(self, name))
+            if not all(map(math.isfinite, values)):
+                raise ValidationError(f"{name} must be finite, got {values}")
+            object.__setattr__(self, name, values)
 
     @classmethod
     def cr_ni(
@@ -140,7 +146,8 @@ class _SectorLayout(NamedTuple):
     the ladder factor of its S+_k S-_q entry.  Each sector is (2M, idx, take,
     at): idx the ascending product-basis indices of its n states, take the
     positions of its entries in `_entry_values`' [diagonal, hops, mirrored
-    hops] values, and at their places row * n + col in the n x n block.
+    hops] values, and at their places row * n + col in the n x n block, in
+    ascending place above DENSE_SECTOR_MAX states.
     ladder = (starts, src, dst, half_roots) holds each S+_k from the S_z = -1/2
     sector to +1/2 (site k's at starts[k]:starts[k+1]) and tau_{k,x}'s element
     sqrt(s(s+1) - m(m+1)) / 2; it is empty when the total spin is an integer.
@@ -203,6 +210,9 @@ def _sector_layout(sites: tuple[float, ...]) -> _SectorLayout:
         position[idx] = np.arange(idx.size)
         take = np.flatnonzero(entry_sector == i)
         at = position[rows[take]] * idx.size + position[cols[take]]
+        if idx.size > DENSE_SECTOR_MAX:  # rows in order, for `_SectorOperator`
+            order = np.argsort(at, kind="stable")
+            take, at = take[order], at[order]
         sectors.append((int(key), idx, take, at))
     # every S+_k from the S_z = -1/2 sector (none for integer spin), by site
     minus = np.flatnonzero(keys[sector] == -1)
@@ -261,10 +271,43 @@ def _entry_values(specs: Sequence[RingSpec], layout: _SectorLayout) -> np.ndarra
     return np.concatenate([diag, amps, amps], axis=1)
 
 
+@dataclass(frozen=True)
+class _SectorOperator:
+    """A sector's matrix-free blocks, indexed like a dense stack: values is
+    (rings, entries), or (entries,) for one ring.  Row i holds values[..., e]
+    in column cols[e] for e from starts[i] to the next row's start: columns
+    ascending, one entry per place, the diagonal always.  `@` takes a (rings,
+    n) stack of vectors: one gather and one reduceat."""
+
+    starts: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape[:-1] + (self.starts.size,) * 2
+
+    @property
+    def places(self) -> np.ndarray:  # row * n + col of each entry, ascending
+        n = self.starts.size
+        return np.repeat(np.arange(n) * n, np.diff(self.starts, append=self.cols.size)) + self.cols
+
+    def __getitem__(self, key) -> "_SectorOperator":
+        return _SectorOperator(self.starts, self.cols, self.values[key])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(self.values * v.take(self.cols, axis=1), self.starts, axis=1)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.values.shape[:-1] + (self.starts.size**2,))
+        dense[..., self.places] = self.values
+        return dense.reshape(self.shape)
+
+
 class _Stack(NamedTuple):
     """Sector blocks of rings of one site-spin tuple.  sectors is {2M:
     (indices, blocks)}, blocks a (rings, n, n) array up to DENSE_SECTOR_MAX
-    states and a list of CSR arrays above; row r of dense holds ring r's
+    states and a `_SectorOperator` above; row r of dense holds ring r's
     dense blocks one after another in ascending 2M."""
 
     sectors: dict
@@ -292,12 +335,11 @@ def _sector_stacks(
         if n <= DENSE_SECTOR_MAX:
             start = min(start, end - n * n)
             sectors[key] = (idx, buffer[:, end - n * n : end].reshape(-1, n, n))
-        else:
-            from scipy import sparse
-
-            positions = divmod(at, n)
-            blocks = [sparse.csr_array((v[take], positions), shape=(n, n)) for v in vals]
-            sectors[key] = (idx, blocks)
+        else:  # the two hops of a two-site ring that share a place are summed
+            first = np.flatnonzero(np.diff(at, prepend=-1))
+            starts = np.searchsorted(at[first], np.arange(n) * n)
+            values = np.add.reduceat(vals[:, take], first, axis=1)
+            sectors[key] = (idx, _SectorOperator(starts, at[first] % n, values))
     return _Stack(sectors, buffer[:, start:])
 
 
@@ -306,8 +348,9 @@ def build_ring_hamiltonian(spec: RingSpec, dim_cap: int = DEFAULT_DIM_CAP) -> di
 
     Returns {2M: (indices, block)}: the ascending product-basis indices of
     the sector's states (read-only) and H restricted to them, a dense array
-    up to DENSE_SECTOR_MAX states and a scipy.sparse CSR array above.  The
-    index tables come from `_sector_layout`, built once per spin tuple.
+    up to DENSE_SECTOR_MAX states and a matrix-free `_SectorOperator` above
+    (`toarray()` gives it dense).  The index tables come from
+    `_sector_layout`, built once per spin tuple.
     """
     error = _cap_error(spec, dim_cap)
     if error:
@@ -395,39 +438,44 @@ def regauge(encoding: QubitEncoding, spec: RingSpec | None = None) -> QubitEncod
     return replace(encoding, ket0=ket0[0], ket1=ket1[0])
 
 
-def _lowest_levels(block, count: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The `count` lowest eigenvalues of one real symmetric sector block,
-    ascending, with their eigenvectors as columns.  A dense block, or a
-    (rings, n, n) stack of them (values (rings, count), vectors (rings, n,
-    count)), takes the full eigendecomposition; a CSR block takes Lanczos
-    (`eigsh`) from a fixed start vector, so repeated runs return the same
-    bytes."""
-    if isinstance(block, np.ndarray):
-        eig = hermitian_eigendecompose(block)
+def _lowest_levels(blocks, count: int, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `count` (1 or 2) lowest eigenvalues of each real symmetric block
+    of a (rings, n, n) stack, values (rings, count), and their eigenvectors,
+    vectors (rings, n, count).  Blocks up to DENSE_SECTOR_MAX states take one
+    eigh.  A `_SectorOperator` takes `lanczos` from fixed starts (the same
+    bytes every run), the +1/2 ground state (count = 2) to KET_RTOL and the
+    levels to LEVEL_RTOL; it is refused unless symmetric within
+    HERMITICITY_RTOL and every pair's residual is within 1e-10 (times each
+    ring's scale)."""
+    if blocks.shape[-1] <= DENSE_SECTOR_MAX:
+        eig = hermitian_eigendecompose(blocks)
         return eig.values[..., :count], eig.vectors[..., :count]
-    from scipy.sparse.linalg import eigsh
+    n, places = blocks.shape[-1], blocks.places
+    transposed = places % n * n + places // n
+    mirror = np.argsort(transposed)  # each entry's transpose, if it has one
+    asym = np.abs(blocks.values - blocks.values[:, mirror]).max(axis=1)
+    if not np.array_equal(transposed[mirror], places) or not (asym <= HERMITICITY_RTOL * scale).all():
+        raise ValidationError(f"sector block is not symmetric (asymmetry {asym.max():.3e})")
 
-    asym = max_entry_norm(block - block.T)
-    if asym > HERMITICITY_RTOL * scale:
-        raise ValidationError(f"sector block is not symmetric (asymmetry {asym:.3e})")
-    start = np.random.default_rng(0).standard_normal(block.shape[0])
-    values, vectors = eigsh(block, k=count, which="SA", v0=start)
-    order = np.argsort(values)
-    values, vectors = values[order], vectors[:, order]
-    residual = np.linalg.norm(block @ vectors - vectors * values, axis=0).max()
-    if residual > 1e-10 * scale:
-        raise ValidationError(f"sector eigenpairs have residual {residual:.3e}")
-    return values, vectors
+    def lowest(start, rtol, locked=None):  # each ring's lowest Ritz pair
+        pairs = lanczos(lambda rings, v: (blocks if rings.size == scale.size else blocks[rings]) @ v,
+                        start, rtol * scale, 1, locked)
+        return np.array([v[0] for v, _ in pairs]), np.array([x[0] for _, x in pairs])
 
-
-def _stack_levels(blocks, rings: np.ndarray, count: int, scale: np.ndarray) -> tuple:
-    """`_lowest_levels` of some rings of a stacked sector, values (rings,
-    count) and vectors (rings, n, count): one eigh for a dense stack,
-    Lanczos per CSR block."""
-    if isinstance(blocks, np.ndarray):
-        return _lowest_levels(blocks if rings.size == len(blocks) else blocks[rings], count, scale)
-    levels = [_lowest_levels(blocks[i], count, scale[i]) for i in rings]
-    return np.array([v for v, _ in levels]), np.array([w for _, w in levels])
+    starts = np.random.default_rng(0).standard_normal((2, n))
+    pairs = [lowest(np.tile(starts[0], (scale.size, 1)), KET_RTOL if count == 2 else LEVEL_RTOL)]
+    if count == 2:
+        # A recurrence sees one vector of each eigenspace, so a second ground
+        # state needs a second run: from an independent fixed start, kept
+        # orthogonal to the ground vector, it finds the second level with its
+        # multiplicity (a two-column start block would need a block loop).
+        ground = pairs[0][1]
+        start = starts[1] - (ground @ starts[1])[:, None] * ground
+        pairs.append(lowest(start, LEVEL_RTOL, ground[:, None]))
+    residual = np.array([np.linalg.norm(blocks @ v - v * e[:, None], axis=1) for e, v in pairs])
+    if not (residual <= 1e-10 * scale).all():
+        raise ValidationError(f"sector eigenpairs have residual {residual.max():.3e}")
+    return np.stack([e for e, _ in pairs], 1), np.stack([v for _, v in pairs], 2)
 
 
 @functools.lru_cache(maxsize=16)
@@ -447,28 +495,30 @@ def _bounds(stack: _Stack) -> tuple[np.ndarray, dict]:
     """Each ring's largest |entry| over the stacked sectors, and {2M: each
     ring's Gershgorin floor min_i (H_ii - sum_{j != i} |H_ij|)}, below every
     eigenvalue of its block.  All dense sectors take one pass."""
-    dense = sorted(key for key, (_, blocks) in stack.sectors.items()
-                   if isinstance(blocks, np.ndarray))
+    dense = sorted(key for key, (idx, _) in stack.sectors.items() if idx.size <= DENSE_SECTOR_MAX)
     sizes = tuple(stack.sectors[key][0].size for key in dense)
     row_at, diagonal, first_row = _row_places(sizes)
     mags, centre = np.abs(stack.dense), stack.dense[:, diagonal]
     rows = np.add.reduceat(mags, row_at, axis=1)
     floors = np.minimum.reduceat(centre - (rows - np.abs(centre)), first_row, axis=1)
     largest, floors = mags.max(axis=1), dict(zip(dense, floors.T))
-    for key, (_, blocks) in stack.sectors.items():
-        if key not in floors:  # CSR blocks, one by one
-            centres = [block.diagonal() for block in blocks]
-            sums = [abs(block).sum(axis=1) for block in blocks]
-            floors[key] = np.array([(c - (r - abs(c))).min() for c, r in zip(centres, sums)])
-            largest = np.maximum(largest, [max_entry_norm(block) for block in blocks])
+    for key, (idx, blocks) in stack.sectors.items():
+        if key not in floors:  # a sector operator
+            mags, centre = np.abs(blocks.values), blocks.values[:, blocks.places % (idx.size + 1) == 0]
+            rows = np.add.reduceat(mags, blocks.starts, axis=1)
+            floors[key] = (centre - (rows - np.abs(centre))).min(axis=1)
+            largest = np.maximum(largest, mags.max(axis=1))
     return largest, floors
 
 
 def _breaks_time_reversal(blocks0, blocks1) -> bool:
-    """Whether any ring's -1/2 block differs from its +1/2 block reversed."""
-    if isinstance(blocks1, np.ndarray):
+    """Whether any ring's -1/2 block differs from its +1/2 block reversed; a
+    sector operator's entry at place p moves to n^2 - 1 - p."""
+    n = blocks1.shape[-1]
+    if n <= DENSE_SECTOR_MAX:
         return bool((blocks0 != blocks1[:, ::-1, ::-1]).any())
-    return any((b0 != b1[::-1, ::-1]).sum() for b0, b1 in zip(blocks0, blocks1))
+    flipped = n * n - 1 - blocks1.places[::-1]
+    return not np.array_equal(blocks0.places, flipped) or bool((blocks0.values != blocks1.values[:, ::-1]).any())
 
 
 @dataclass(frozen=True)
@@ -520,7 +570,7 @@ def _doublets(stack: _Stack, layout: _SectorLayout) -> list:
     largest, floors = _bounds(stack)
     scale = np.maximum(largest, 1.0)
     window = GROUND_CLUSTER_RTOL * scale
-    plus, vectors = _stack_levels(blocks1, np.arange(size), 2, scale)
+    plus, vectors = _lowest_levels(blocks1, 2, scale)
     # each ring's lowest level above its doublet so far (inf for none yet)
     low = plus[:, 1].copy() if plus.shape[1] > 1 else np.full(size, np.inf)
     above = sorted(key for key in sectors if key > 1)
@@ -536,7 +586,8 @@ def _doublets(stack: _Stack, layout: _SectorLayout) -> list:
         if not rings.size:  # no ring needs any later sector
             break
         j += later
-        levels = _stack_levels(sectors[above[j]][1], rings, 1, scale)[0]
+        blocks = sectors[above[j]][1]
+        levels = _lowest_levels(blocks if rings.size == size else blocks[rings], 1, scale[rings])[0]
         low[rings] = np.minimum(low[rings], levels[:, 0])
         j += 1
     gap = low - plus[:, 0]
@@ -563,12 +614,9 @@ def ground_doublet(sectors: dict, spec: RingSpec) -> QubitEncoding:
     """Extract the qubit encoding from one ring's sector blocks {2M:
     (indices, block)} as `build_ring_hamiltonian` returns them: `_doublets`
     on a stack of one ring, raising the error it reports."""
-    stacked = {
-        key: (idx, block[None] if isinstance(block, np.ndarray) else [block])
-        for key, (idx, block) in sectors.items()
-    }
-    dense = [stacked[key][1].reshape(1, -1) for key in sorted(stacked)
-             if isinstance(stacked[key][1], np.ndarray)]
+    stacked = {key: (idx, block[None]) for key, (idx, block) in sectors.items()}
+    dense = [block.reshape(1, -1) for _, (idx, block) in sorted(stacked.items())
+             if idx.size <= DENSE_SECTOR_MAX]
     stack = _Stack(stacked, np.concatenate(dense, axis=1))
     return _unwrap(_doublets(stack, _sector_layout(spec.sites))[0])[0]
 
@@ -603,9 +651,9 @@ def ring_qubit_encodings(
     fails alone, and the caller decides which failure to report.
 
     Rings of one site-spin tuple are encoded as one stack (several past
-    STACK_ENTRIES_MAX numbers of dense blocks): one build of the sectors
-    2M >= -1 and one `eigh` per dense sector, each ring getting the bytes it
-    gets alone.  The gauge reference is site 1.
+    STACK_ENTRIES_MAX numbers): one build of the sectors 2M >= -1, one `eigh`
+    per dense sector and one `lanczos` call per sector operator, each ring
+    getting the bytes it gets alone.  The gauge reference is site 1.
     """
     outcomes = [_cap_error(spec, dim_cap) for spec in specs]
     groups: dict[tuple, list[int]] = {}
@@ -614,7 +662,9 @@ def ring_qubit_encodings(
             groups.setdefault(spec.sites, []).append(i)
     for sites, members in groups.items():
         layout = _sector_layout(sites)
-        per_stack = max(1, STACK_ENTRIES_MAX // layout.dense[3])
+        largest = max(idx.size for _, idx, _, _ in layout.sectors)
+        ring = layout.dense[3] + (64 * largest if largest > DENSE_SECTOR_MAX else 0)
+        per_stack = max(1, STACK_ENTRIES_MAX // ring)
         for start in range(0, len(members), per_stack):
             stack = members[start : start + per_stack]
             for i, outcome in zip(stack, _encode_stack([specs[i] for i in stack], layout)):

@@ -22,7 +22,7 @@ import numpy as np
 
 from ringstar.errors import GroundDoubletError
 from ringstar.linalg import max_entry_norm
-from ringstar.rings import DENSE_SECTOR_MAX, _check_spin, _lowest_levels
+from ringstar.rings import _check_spin, _lowest_levels
 
 # the library's doublet window, restated: levels within this fraction of the
 # largest Hamiltonian entry count as one multiplet
@@ -81,19 +81,24 @@ def kron_ring_hamiltonian(spec) -> np.ndarray:
     return h
 
 
+def dense_block(block) -> np.ndarray:
+    """A library sector block as a dense array (sector operators included)."""
+    return block if isinstance(block, np.ndarray) else block.toarray()
+
+
 def scatter(sectors, dim: int) -> np.ndarray:
     """Place every sector block {2M: (indices, block)} into one dense matrix."""
     h = np.zeros((dim, dim))
     for idx, block in sectors.values():
-        dense = block if isinstance(block, np.ndarray) else block.toarray()
-        h[np.ix_(idx, idx)] = dense
+        h[np.ix_(idx, idx)] = dense_block(block)
     return h
 
 
 def direct_sector_blocks(spec) -> dict:
     """{2M: (indices, block)} as build_ring_hamiltonian returns it, enumerated
     anew for this spec: the product basis, every bond's ladder entries, and
-    each sector's entries scattered into a dense or CSR block."""
+    each sector's entries scattered into a dense block, also where the
+    library keeps a matrix-free sector operator."""
     dims = np.array(spec.site_dims)
     strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
     levels = (np.arange(spec.dim)[:, None] // strides) % dims
@@ -126,14 +131,8 @@ def direct_sector_blocks(spec) -> dict:
         idx = np.flatnonzero(sector == i)
         position[idx] = np.arange(idx.size)
         sel = entry_sector == i
-        entries = (vals[sel], (position[rows[sel]], position[cols[sel]]))
-        if idx.size <= DENSE_SECTOR_MAX:
-            block = np.zeros((idx.size, idx.size))
-            np.add.at(block, entries[1], entries[0])
-        else:
-            from scipy import sparse
-
-            block = sparse.csr_array(entries, shape=(idx.size, idx.size))
+        block = np.zeros((idx.size, idx.size))
+        np.add.at(block, (position[rows[sel]], position[cols[sel]]), vals[sel])
         blocks[int(key)] = (idx, block)
     return blocks
 
@@ -146,10 +145,10 @@ def every_sector_gap(sectors) -> float:
     Raises GroundDoubletError where it must."""
     if 1 not in sectors:
         raise GroundDoubletError("integer total spin: no S_z = +-1/2 doublet")
-    scale = max(max(max_entry_norm(block) for _, block in sectors.values()), 1.0)
-    plus = _lowest_levels(sectors[1][1], 2, scale)[0]
+    scale = np.array([max(max(max_entry_norm(dense_block(b)) for _, b in sectors.values()), 1.0)])
+    plus = _lowest_levels(sectors[1][1][None], 2, scale)[0][0]
     above = list(plus[1:]) + [
-        _lowest_levels(block, 1, scale)[0][0]
+        _lowest_levels(block[None], 1, scale)[0][0, 0]
         for key, (_, block) in sectors.items()
         if key > 1
     ]

@@ -685,27 +685,31 @@ def test_cli_sweep_aniso_reaches_the_cr7ni_ring(tmp_path):
     assert not refused.exists()
 
 
-def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded(tmp_path):
-    # the full-space oracle, the x = 3 ring and both protocol searches are
-    # numpy only: no command over configs/ loads any scipy module
+def test_cli_commands_and_x5_encodings_load_no_scipy_module(tmp_path):
+    # the full-space oracle, the rings (x = 5 sector operators included) and
+    # both protocol searches are numpy only: no scipy module is ever loaded
     site_wgen = tmp_path / "site-wgen.json"
     site_wgen.write_text(json.dumps({"protocol": {
         "source": 2, "n_sites": 5, "constraint": 0.5, "gamma_source": 1.0}}))
     code = (
         "import sys\n"
-        "heavy = ('scipy.optimize', 'scipy.sparse')\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "import ringstar.cli\n"
-        "assert not [m for m in heavy if m in sys.modules], 'import ringstar.cli'\n"
-        "from ringstar.rings import RingSpec, ring_qubit_encoding\n"
+        "assert not scipy_modules(), 'import ringstar.cli'\n"
+        "from ringstar.rings import RingSpec, ring_qubit_encoding, ring_qubit_encodings\n"
         "ring_qubit_encoding(RingSpec.cr_ni(3))\n"
-        "assert not [m for m in heavy if m in sys.modules], 'x = 3 encoding'\n"
+        "ring_qubit_encoding(RingSpec.cr_ni(5))\n"
+        "pair = ring_qubit_encodings([RingSpec.cr_ni(5), RingSpec.cr_ni(5, 15.0, 1.1, 0.2)])\n"
+        "assert all(isinstance(outcome, tuple) for outcome in pair)\n"
+        "assert not scipy_modules(), 'x = 3 and x = 5 encodings'\n"
         "from ringstar.cli import main\n"
         "from ringstar.coupling import b_sweep_evaluator, find_delta_transitions\n"
         "assert len(find_delta_transitions(b_sweep_evaluator(), 0.0, 5.0)) == 2\n"
         "args = iter(sys.argv[1:])\n"
         "for command, config, out in zip(args, args, args):\n"
         "    assert main([command, '--config', config, '--out', out]) == 0, command\n"
-        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "loaded = scipy_modules()\n"
         "assert not loaded, f'{len(loaded)} scipy modules loaded: {loaded[:3]}'\n"
     )
     src = str(Path(ringstar.__file__).resolve().parents[1])

@@ -211,7 +211,8 @@ def brentq_transitions(evaluate, b_start, b_stop, level=0.0, points=501):
     strength=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
     a=st.floats(0.5, 1.5),
     # at d = 0 the ring is isotropic, z00 = -x10 on every site and Delta is 0
-    # for every linker set, so the sign of Delta - 0 is rounding noise
+    # for every linker set, so the sign of Delta - 0 is rounding noise (the
+    # SU(2) property below holds that invariant)
     d=st.floats(0.05, 0.5) | st.floats(-0.5, -0.05),
     level=st.floats(-3.0, 3.0),
     # a pole sits at -(x10 product of the reference) / (that of the tuned
@@ -249,6 +250,34 @@ def test_property_transitions_match_brentq_reference(
     assert [(t.kind, t.rising) for t in got] == [w[1:] for w in want]
     for t, (b_ref, _, _) in zip(got, want):
         assert abs(t.b - b_ref) <= 1e-12 * max(1.0, abs(b_ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    xs=st.tuples(st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5])),
+    bonds=st.lists(st.floats(1.0, 20.0), min_size=12, max_size=12),
+    links=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.floats(-3.0, 3.0)),
+                   min_size=1, max_size=4),
+)
+@example(xs=(5, 3), bonds=[17.0] * 5 + [15.3] + [17.0] * 6, links=[(0, 0, 1.0), (3, 2, -0.7)])
+def test_property_isotropic_rings_keep_the_su2_invariant(xs, bonds, links):
+    # d = 0 leaves an antiferromagnetic ring SU(2)-symmetric, so by
+    # Wigner-Eckart its doublet has |x10| = |z00| on every site and Delta = 0
+    # for any linkers: a reference for x = 5, where the Kronecker route is slow
+    specs = [RingSpec((1.5,) * x + (1.0,), tuple(bonds[6 * i : 6 * i + x + 1]), (0.0,) * (x + 1))
+             for i, x in enumerate(xs)]
+    (_, ring), (_, central) = ring_qubit_encodings(specs)
+    for elems in (ring, central):
+        assert np.abs(np.abs(elems.x10) - np.abs(elems.z00)).max() <= 1e-12 * np.abs(elems.z00).max()
+    linkers = [Linker(1 + m % (xs[0] + 1), 1 + n % (xs[1] + 1), s) for m, n, s in links]
+    try:
+        pair = effective_coupling(ring, central, linkers)
+    except AnisotropyDivergenceError:
+        return
+    # the rounding of the x and z sums, over the transverse sum
+    terms = sum(abs(l.strength * ring.x10[l.ring_site - 1] * central.x10[l.central_site - 1])
+                for l in linkers)
+    assert abs(pair.delta) <= 1e-12 * terms / abs(pair.gamma)
 
 
 @pytest.mark.xfail(

@@ -28,6 +28,7 @@ from ringstar.rings import (
 )
 
 from kron_reference import (
+    dense_block,
     direct_sector_blocks,
     every_sector_gap,
     kron_ring_hamiltonian,
@@ -65,6 +66,30 @@ def test_ring_spec_validation():
         RingSpec(sites=(0.5, 0.5), bond_couplings=(1.0,), crystal_fields=(0.0, 0.0))
     with pytest.raises(ValueError):
         RingSpec(sites=(0.7,), bond_couplings=(1.0,), crystal_fields=(0.0,))
+    # a NaN closing bond at x = 5 or an inf field at x = 3 is refused by
+    # name, before any Hamiltonian is built
+    for field, x, value in [("bond_couplings", 5, np.nan), ("bond_couplings", 5, -np.inf),
+                            ("crystal_fields", 3, np.inf)]:
+        numbers = {name: getattr(RingSpec.cr_ni(x), name) for name in ("bond_couplings", "crystal_fields")}
+        numbers[field] = numbers[field][:-1] + (value,)
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            RingSpec(RingSpec.cr_ni(x).sites, **numbers)
+
+
+@pytest.mark.parametrize("spec", [
+    # J = 0 at x = 5: ten +1/2 states share the ground level -1.7 (and five
+    # +3/2 states, so the 2M = 3 sector alone shows it too)
+    RingSpec((1.5,) * 5 + (1.0,), (0.0,) * 6, (0.3,) * 6),
+    # the odd antiferromagnetic ring of eleven spins 1/2: two S = 1/2 doublets
+    # share its ground level and no higher spin does, so only the +-1/2
+    # sectors show it; a Lanczos recurrence from one start vector sees one
+    # vector of the +1/2 ground level and can report a gap of 0.73 instead
+    RingSpec((0.5,) * 11, (1.0,) * 11, (0.0,) * 11),
+])
+def test_degenerate_ground_level_of_a_sector_operator_is_refused(spec):
+    assert build_ring_hamiltonian(spec)[1][0].size > DENSE_SECTOR_MAX
+    with pytest.raises(GroundDoubletError, match="gap"):
+        ring_qubit_encoding(spec)
 
 
 def test_two_site_ring_counts_its_bond_twice():
@@ -204,16 +229,18 @@ def test_broken_time_reversal_is_refused():
         ground_doublet(sectors, spec)
 
 
-def test_broken_time_reversal_is_refused_for_csr_blocks():
-    # x = 5: the -1/2 block is CSR; one diagonal entry moves by far less
-    # than the doublet window, and the block stays symmetric
+def test_broken_time_reversal_is_refused_for_sector_operators():
+    # x = 5: the -1/2 block is a matrix-free operator; one diagonal entry
+    # moves by far less than the doublet window, and the block stays symmetric
     spec = RingSpec.cr_ni(5)
     sectors = build_ring_hamiltonian(spec)
     idx, block = sectors[-1]
     assert not isinstance(block, np.ndarray)
-    block = block.copy()
-    block[7, 7] += 1e-12
-    sectors[-1] = (idx, block)
+    values = block.values.copy()
+    values[np.flatnonzero(block.places == 7 * idx.size + 7)] += 1e-12
+    sectors[-1] = (idx, replace(block, values=values))
+    moved = sectors[-1][1].toarray() != block.toarray()
+    assert np.flatnonzero(moved).tolist() == [7 * idx.size + 7]
     with pytest.raises(ValidationError, match="time reversal"):
         ground_doublet(sectors, spec)
 
@@ -403,10 +430,12 @@ def test_property_cached_layout_gives_direct_blocks_bit_for_bit(pair):
         for key, (idx, block) in blocks.items():
             ref_idx, ref_block = reference[key]
             assert np.array_equal(idx, ref_idx)
-            assert isinstance(block, np.ndarray) == isinstance(ref_block, np.ndarray)
+            assert isinstance(block, np.ndarray) == (idx.size <= DENSE_SECTOR_MAX)
             if not isinstance(block, np.ndarray):
-                assert block.format == ref_block.format == "csr"
-                block, ref_block = block.toarray(), ref_block.toarray()
+                # a sector operator: one entry per place, in ascending place
+                assert block.values.shape == block.cols.shape
+                assert (np.diff(block.places) > 0).all()
+                block = block.toarray()
             assert np.array_equal(block, ref_block)
         with pytest.raises(ValueError):
             idx[0] = 0  # the cached index tables are read-only
@@ -487,6 +516,9 @@ def ring_lists(draw):
 @example([RingSpec.cr_ni(3), NO_GAP, RingSpec.cr_ni(3, 14.0, 1.1, 0.45), RingSpec.cr_ni(1)])
 @example([RingSpec.cr_ni(3, symmetric_substitute_bonds=True), RingSpec.cr_ni(2), RingSpec.cr_ni(3)])
 @example([RingSpec.cr_ni(1, -17.0, 0.9, 0.3, True), RingSpec.cr_ni(1, 17.0, -1.0, 0.0, True)])
+# x = 5: one Lanczos recurrence per ring over each stacked sector operator
+@example([RingSpec.cr_ni(5), RingSpec.cr_ni(3), RingSpec.cr_ni(5, 15.0, 1.1, 0.2),
+          RingSpec.cr_ni(5, -9.0, 1.3, -0.8)])
 def test_property_stacked_encodings_equal_one_ring_at_a_time(rings):
     outcomes = ring_qubit_encodings(rings)
     assert len(outcomes) == len(rings)
@@ -497,13 +529,13 @@ def test_property_stacked_encodings_equal_one_ring_at_a_time(rings):
 
 
 def test_a_ring_that_breaks_its_stack_keeps_its_own_error():
-    # an infinite exchange fills the blocks with inf and nan: the stacked
-    # solve raises, so each ring of the stack is encoded alone; x = 5 rings
-    # take Lanczos on their CSR sectors, one ring at a time
-    broken = RingSpec.cr_ni(3, exchange=np.inf)
+    # an exchange whose entries overflow fills the blocks with inf and nan:
+    # the stacked solve raises, so each ring of the stack is encoded alone;
+    # x = 5 rings take Lanczos on their sector operators, one ring at a time
+    broken = RingSpec.cr_ni(3, exchange=1e308)
     rings = [RingSpec.cr_ni(3), broken, RingSpec.cr_ni(5), RingSpec.cr_ni(7),
              RingSpec.cr_ni(5, exchange=-9.0, ratio=1.3, crystal_field=-0.8), RingSpec.cr_ni(3, 15.0)]
-    with np.errstate(invalid="ignore"):  # inf * 0 in the broken ring's values
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the broken ring's values
         outcomes = ring_qubit_encodings(rings)
         alone = [ring_qubit_encodings([spec])[0] for spec in rings]
         with pytest.raises(ValidationError, match="breaks time reversal"):
@@ -567,13 +599,13 @@ def test_lanczos_branch_matches_dense_eigh_on_x5_blocks():
     sectors = build_ring_hamiltonian(spec)
     large = [two_m for two_m, (idx, _) in sectors.items() if idx.size > DENSE_SECTOR_MAX]
     assert {1, -1, 3} <= set(large)
-    scale = max(abs(b).max() for _, b in sectors.values())
+    scale = max(abs(dense_block(b)).max() for _, b in sectors.values())
     for two_m in large:
         block = sectors[two_m][1]
         assert not isinstance(block, np.ndarray)
         dense = block.toarray()
         assert np.array_equal(dense, dense.T)
-        values, vectors = _lowest_levels(block, 2, scale)
+        values, vectors = (a[0] for a in _lowest_levels(block[None], 2, np.array([scale])))
         exact, exact_vectors = np.linalg.eigh(dense)
         assert np.abs(values - exact[:2]).max() < 1e-10 * scale
         # each Lanczos vector is the dense one up to sign (no degeneracy here)

@@ -4,7 +4,16 @@ The package covers the pipeline end to end: exact diagonalization of the
 microscopic rings, extraction of effective two-level couplings, the analytic
 single-excitation star model with its closed-form dynamics, the W-state and
 block-transfer protocols, and an independent full-space cross-check.
+
+Importing the package before numpy sets one BLAS thread (OPENBLAS, OMP and
+MKL `*_NUM_THREADS`) unless the environment already names a count, so
+outputs do not depend on the machine's core count and a cold command starts
+no thread pool; a program that imported numpy first keeps its BLAS setting.
 """
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # read once, when numpy first loads
 from .errors import (
     AnisotropyDivergenceError,
     ConfigError,

@@ -55,6 +55,11 @@ STACK_ENTRIES_MAX = 2**20
 # closer than this count as degenerate with the ground level
 GROUND_CLUSTER_RTOL = 1e-8
 
+# largest |bond coupling| and |crystal field| of a ring: H·v and the norm
+# behind each Lanczos beta (a sum of squared entries of about |J| S^2 L)
+# then stay finite at any ring the dimension cap admits
+RING_COUPLING_MAX = 1e100
+
 # the phase pivot of a ket is its first entry within this fraction of the
 # largest magnitude, so rounding cannot pick between tied entries
 PIVOT_RTOL = 1e-6
@@ -91,8 +96,10 @@ class RingSpec:
         object.__setattr__(self, "sites", tuple(_check_spin(s) for s in self.sites))
         for name in ("bond_couplings", "crystal_fields"):
             values = tuple(float(v) for v in getattr(self, name))
-            if not all(map(math.isfinite, values)):
-                raise ValidationError(f"{name} must be finite, got {values}")
+            if not all(abs(v) <= RING_COUPLING_MAX for v in values):  # NaN fails too
+                raise ValidationError(
+                    f"{name} must be finite with magnitudes <= {RING_COUPLING_MAX:g}, got {values}"
+                )
             object.__setattr__(self, name, values)
 
     @classmethod

@@ -70,6 +70,15 @@ class StarNetwork:
             )
         if not (np.isfinite(g).all() and np.isfinite(d).all()):
             raise ValidationError("couplings must be finite")
+        # 4 Omega^2 + (N sum |gamma_i (1 + Delta_i)|)^2 bounds the pair levels'
+        # 4 Omega^2 + C^2 (N-1)^2 and the square of every Hamiltonian entry
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            square = 4.0 * (g**2).sum() + (np.abs(g * (1.0 + d)).sum() * g.size) ** 2
+        if not np.isfinite(square):
+            raise ValidationError(
+                "couplings overflow: 4 Omega^2 + (N sum |gamma_i (1 + Delta_i)|)^2 "
+                "is not a finite float"
+            )
         object.__setattr__(self, "gammas", _readonly(g))
         object.__setattr__(self, "deltas", _readonly(d))
 

@@ -731,6 +731,32 @@ def test_cli_commands_and_x5_encodings_load_no_scipy_module(tmp_path):
     assert len((tmp_path / "fluct.csv").read_text().splitlines()) == 82
 
 
+@pytest.mark.parametrize("user_count", [None, "2"])
+def test_cli_runs_one_blas_thread_unless_the_environment_sets_a_count(user_count):
+    # the package sets the count before numpy loads; a thread pool would show
+    # as more than one task of the process
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(ringstar.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if user_count is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_count
+    code = (
+        "import os, ringstar.cli\n"
+        "tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else None\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks and len(tasks))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    count, tasks = result.stdout.split()
+    assert count == (user_count or "1")
+    if user_count is None:
+        if tasks == "None":
+            pytest.skip("no /proc/self/task to count threads in")
+        assert tasks == "1"
+
+
 def test_cli_validate(tmp_path):
     cfg = effective_uniform(
         tmp_path,
@@ -929,6 +955,32 @@ def test_cli_malformed_config_exit_codes(tmp_path, command, payload, code):
     cfg = write_json(tmp_path / "cfg.json", payload)
     assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "x.csv")) == code
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+# couplings whose arithmetic overflows, refused by name: Omega and the pair
+# levels square gamma, so the star runs wrote nan cells with RuntimeWarnings;
+# a ring's H·v overflowed, so sweep-aniso blamed time reversal or Lanczos
+HUGE_GAMMA = dict(EFFECTIVE["effective"], gammas=[1.5e154, 1.0, 1.0])
+OVERFLOWING = {
+    "evolve": ("evolve", dict(EVOLVE, effective=HUGE_GAMMA), "couplings overflow"),
+    "spectrum": ("spectrum", dict(EFFECTIVE, effective=HUGE_GAMMA), "couplings overflow"),
+    "wgen-site": ("wgen", {"protocol": dict(SITE_W, gamma_source=1e300)}, "couplings overflow"),
+    "transfer": ("transfer", {"protocol": {"transfer": dict(TRANSFER, gamma_scale=1e200)},
+                              "grids": {"time": [0.0, 1.0]}}, "couplings overflow"),
+    "sweep-aniso-x3": ("sweep-aniso", {"sweep": dict(B_SWEEP, x=3, exchange=1e308)},
+                       "bond_couplings must be finite with magnitudes <= 1e+100"),
+    "sweep-aniso-x5": ("sweep-aniso", {"sweep": dict(B_SWEEP, x=5, exchange=3e307)},
+                       "bond_couplings must be finite with magnitudes <= 1e+100"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, payload, cause", OVERFLOWING.values(), ids=OVERFLOWING)
+def test_cli_couplings_that_overflow_exit_3_by_name(tmp_path, capsys, command, payload, cause):
+    cfg = write_json(tmp_path / "cfg.json", payload)
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "x.csv")) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    assert capsys.readouterr().err.startswith(f"error [validation]: {cause}")
 
 
 X1 = {"x": 1}

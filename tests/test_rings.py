@@ -531,8 +531,10 @@ def test_property_stacked_encodings_equal_one_ring_at_a_time(rings):
 def test_a_ring_that_breaks_its_stack_keeps_its_own_error():
     # an exchange whose entries overflow fills the blocks with inf and nan:
     # the stacked solve raises, so each ring of the stack is encoded alone;
-    # x = 5 rings take Lanczos on their sector operators, one ring at a time
-    broken = RingSpec.cr_ni(3, exchange=1e308)
+    # x = 5 rings take Lanczos on their sector operators, one ring at a time.
+    # RingSpec refuses such an exchange, so it is set past the constructor
+    broken = RingSpec.cr_ni(3)
+    object.__setattr__(broken, "bond_couplings", (1e308,) * 3 + (0.9e308,))
     rings = [RingSpec.cr_ni(3), broken, RingSpec.cr_ni(5), RingSpec.cr_ni(7),
              RingSpec.cr_ni(5, exchange=-9.0, ratio=1.3, crystal_field=-0.8), RingSpec.cr_ni(3, 15.0)]
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the broken ring's values

@@ -64,17 +64,13 @@ def hermitian_eigendecompose(matrix) -> EigenSystem:
     to silently symmetrize away, and a stack reports its first such matrix.
     """
     a = _as_square(matrix, stack=True)
-    if a.ndim == 2:
-        scale = max(max_entry_norm(a), 1e-300)
-        asym = max_entry_norm(a - a.conj().T)
-    else:
-        diff = a - np.swapaxes(a, -2, -1).conj()
-        scale, asym = 1.0, 0.0  # exactly Hermitian unless diff has an entry
-        if diff.any():
-            asyms = np.abs(diff).max(axis=(-2, -1)).ravel()
-            scales = np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300).ravel()
-            first = np.argmax(asyms > HERMITICITY_RTOL * scales)
-            scale, asym = scales[first], asyms[first]
+    diff = a - np.swapaxes(a, -2, -1).conj()
+    scale, asym = 1.0, 0.0  # exactly Hermitian unless diff has an entry
+    if diff.any():
+        asyms = np.abs(diff).max(axis=(-2, -1)).ravel()
+        scales = np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300).ravel()
+        first = np.argmax(asyms > HERMITICITY_RTOL * scales)
+        scale, asym = scales[first], asyms[first]
     if asym > HERMITICITY_RTOL * scale:
         raise ValidationError(
             f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "

@@ -172,7 +172,9 @@ def _sign_change(f, lo: float, hi: float) -> float:
 def _solve_ratio(
     n: int, constraint: float, gamma_source: float, winding: int, branch: str
 ) -> float:
-    """Self-consistent p: the smallest ratio that equalizes populations at t_k."""
+    """Self-consistent p: the smallest ratio that equalizes populations at t_k,
+    scanned over the branch's range where a real ratio exists (cos theta_1 <=
+    2/N - 1): [1/(N-1), (sqrt N - 1)^-2] for plus, [(sqrt N + 1)^-2, 1/(N-1)] for minus."""
     def residual(p):
         """p minus the ratio at theta_1(p), and the discriminant, for p or an array."""
         omega = gamma_source * np.sqrt(1.0 + (n - 1) * p)
@@ -181,16 +183,10 @@ def _solve_ratio(
         ratio, disc = _population_ratio(theta1, n, branch)
         return p - ratio, disc
 
-    if constraint == 0.0:
-        # theta_1 = -k pi independently of p: the ratio is explicit, and the only
-        # route for N >~ 10^6, where p ~ 1/N falls below the grid's 1e-6 floor
-        p = equal_population_ratio(-winding * math.pi, n, branch)
-        if not p > 0.0:
-            raise InfeasibleError(
-                f"winding {winding} gives a non-positive coupling ratio {p:.6g}"
-            )
-        return p
-    grid = np.geomspace(1e-6, 1e6, 2401)
+    lo, hi = sorted((1.0 / (n - 1), (math.sqrt(n) + (-1.0 if branch == "plus" else 1.0)) ** -2))
+    # widened so that a root on a bracket end still changes sign inside the grid:
+    # at C = 0 and odd winding, theta_1 = -k pi puts it exactly on (sqrt N -+ 1)^-2
+    grid = np.linspace(lo * (1.0 - 1e-9), hi * (1.0 + 1e-9), 2401)
     # a sign change where no real ratio exists comes from the clamp, not a root
     for i in np.flatnonzero(np.diff(np.sign(residual(grid)[0]))):
         p = _sign_change(lambda x: residual(x)[0], grid[i], grid[i + 1])

@@ -580,23 +580,15 @@ def _doublets(stack: _Stack, layout: _SectorLayout) -> list:
     plus, vectors = _lowest_levels(blocks1, 2, scale)
     # each ring's lowest level above its doublet so far (inf for none yet)
     low = plus[:, 1].copy() if plus.shape[1] > 1 else np.full(size, np.inf)
-    above = sorted(key for key in sectors if key > 1)
-    floors = np.array([floors[key] for key in above]).reshape(len(above), size)
-    j = 0
-    while j < len(above):
-        # a ring skips each sector whose floor clears its lowest level so far
-        # by the window: even after rounding in floor or solver, the sector
-        # cannot lower that level; the next sector some ring needs is solved
-        need = ~(floors[j:] > low + window)
-        later = np.logical_or.reduce(need, axis=1).argmax()
-        rings = need[later].nonzero()[0]
-        if not rings.size:  # no ring needs any later sector
-            break
-        j += later
-        blocks = sectors[above[j]][1]
-        levels = _lowest_levels(blocks if rings.size == size else blocks[rings], 1, scale[rings])[0]
-        low[rings] = np.minimum(low[rings], levels[:, 0])
-        j += 1
+    for key in sorted(key for key in sectors if key > 1):
+        # a ring skips a sector whose floor clears its lowest level so far by
+        # the window: even after rounding in floor or solver, the sector
+        # cannot lower that level
+        rings = (~(floors[key] > low + window)).nonzero()[0]
+        if rings.size:
+            blocks = sectors[key][1]
+            levels = _lowest_levels(blocks if rings.size == size else blocks[rings], 1, scale[rings])[0]
+            low[rings] = np.minimum(low[rings], levels[:, 0])
     gap = low - plus[:, 0]
     ket1 = np.zeros((size, dim))
     ket1[:, idx1] = vectors[:, :, 0]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringstar.errors import InfeasibleError, ValidationError
@@ -122,36 +122,58 @@ def test_equal_population_ratio_closed_form():
         equal_population_ratio(math.pi / 2, 4)
 
 
+@settings(max_examples=200, deadline=None)
+@example(2, 0.0, 0)
+@example(2, 1.0, 3)
+@example(10**6, 0.0, 0)
+@example(10**6, 1.0, 31)
+@given(
+    n=st.integers(min_value=2, max_value=10**6),
+    fraction=st.floats(min_value=0.0, max_value=1.0),
+    turns=st.integers(min_value=0, max_value=31),
+)
+def test_property_equal_population_ratio_stays_in_its_branch_bracket(n, fraction, turns):
+    # a real ratio needs cos theta_1 <= 2/N - 1: theta_1 with cos theta_1 a
+    # `fraction` of the way from -1 to 2/N - 1, `turns` full turns further down
+    theta1 = -math.acos(-1.0 + 2.0 * fraction / n) - 2.0 * math.pi * turns
+    assume(2.0 * n * (1.0 - math.cos(theta1)) - n * n * math.sin(theta1) ** 2 >= 0.0)
+    brackets = {
+        "plus": (1.0 / (n - 1), (math.sqrt(n) - 1.0) ** -2),
+        "minus": ((math.sqrt(n) + 1.0) ** -2, 1.0 / (n - 1)),
+    }
+    for branch, (lo, hi) in brackets.items():
+        # relative to the bracket's top: at N = 2, 3 - sqrt(8) on the minus
+        # branch cancels to 1.3e-15 of its own size
+        p = equal_population_ratio(theta1, n, branch)
+        assert lo - 1e-15 * hi <= p <= hi * (1.0 + 1e-15)
+
+
 def reference_ratio(n, constraint, gamma_source, winding, branch):
-    """The smallest coupling ratio from a scalar scan of the same geomspace
-    grid, one residual call per point: each sign-change cell in turn is refined
-    by brentq, and the first root with a real ratio (discriminant >= -1e-12)
-    is returned; None when there is none.  The residual clamps a negative
+    """The smallest coupling ratio from an independent scan: 400001 geometric
+    points over p in [1e-9, 1e3], each sign-change cell in turn refined by
+    brentq, and the first root with a real ratio (discriminant >= -1e-12)
+    returned; None when there is none.  The residual clamps a negative
     discriminant to zero, so it stays finite and continuous everywhere."""
     from scipy.optimize import brentq
 
     def terms(p):
-        omega = gamma_source * math.sqrt(1.0 + (n - 1) * p)
+        omega = gamma_source * np.sqrt(1.0 + (n - 1) * p)
         b = constraint * (n - 1) / (2.0 * omega)
-        theta1 = winding * math.pi * (b / math.hypot(1.0, b) - 1.0)
-        disc = 2.0 * n * (1.0 - math.cos(theta1)) - n * n * math.sin(theta1) ** 2
+        theta1 = winding * math.pi * (b / np.sqrt(1.0 + b * b) - 1.0)
+        disc = 2.0 * n * (1.0 - np.cos(theta1)) - n * n * np.sin(theta1) ** 2
         sign = 1.0 if branch == "plus" else -1.0
-        root = math.sqrt(max(disc, 0.0))
-        return p - (1.0 - n * math.cos(theta1) + sign * root) / (n - 1) ** 2, disc
+        ratio = (1.0 - n * np.cos(theta1) + sign * np.sqrt(np.maximum(disc, 0.0))) / (n - 1) ** 2
+        return p - ratio, disc
 
-    def residual(p):
-        return terms(p)[0]
-
-    grid = np.geomspace(1e-6, 1e6, 2401)
-    vals = [residual(p) for p in grid]
-    for i in range(len(grid) - 1):
-        f0, f1 = vals[i], vals[i + 1]
-        if f0 == 0.0:
-            root = float(grid[i])
-        elif f0 * f1 < 0.0:
-            root = brentq(residual, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
-        else:
-            continue
+    grid = np.geomspace(1e-9, 1e3, 400001)
+    vals = terms(grid)[0]
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        f_lo, f_hi = (float(terms(x)[0]) for x in (lo, hi))
+        if f_lo * f_hi < 0.0:
+            root = brentq(lambda x: float(terms(x)[0]), lo, hi, xtol=1e-300, rtol=8.9e-16)
+        else:  # a zero at an end, or one that scalar rounding moves onto an end
+            root = lo if abs(f_lo) <= abs(f_hi) else hi
         if terms(root)[1] >= -1e-12:
             return root
     return None
@@ -178,24 +200,29 @@ ROOTS_NEXT_TO_INFEASIBLE_CELLS = [
 @example(9, 0.26026411160820345, 0.6106253746641235, 5, "plus")
 @example(19, 0.09645131502163246, 0.5951137667899952, 4, "plus")
 @example(41, -0.061407055562716986, 2.7236374230565614, 7, "plus")
+# a root where the residual is flat: two refinements of one cell part by 5.8e-15
+@example(2, 1.21875, 0.203125, 4, "plus")
 @given(
-    n=st.integers(min_value=2, max_value=12),
-    constraint=st.floats(min_value=-3.0, max_value=3.0).filter(lambda c: c != 0.0),
-    gamma_source=st.floats(min_value=0.2, max_value=3.0),
-    winding=st.integers(min_value=1, max_value=8),
+    n=st.integers(min_value=2, max_value=300),
+    constraint=st.one_of(
+        st.sampled_from([0.0, 1e-300, -1e-300]),
+        st.floats(min_value=1e-3, max_value=30.0),
+        st.floats(min_value=-30.0, max_value=-1e-3),
+    ),
+    gamma_source=st.floats(min_value=0.03, max_value=10.0),
+    winding=st.integers(min_value=1, max_value=64),
     branch=st.sampled_from(["plus", "minus"]),
 )
-def test_property_solve_ratio_matches_scalar_scan(n, constraint, gamma_source, winding, branch):
+def test_property_solve_ratio_is_the_smallest_root_of_a_fine_scan(
+    n, constraint, gamma_source, winding, branch
+):
     expected = reference_ratio(n, constraint, gamma_source, winding, branch)
     if expected is None:
         with pytest.raises(InfeasibleError):
             _solve_ratio(n, constraint, gamma_source, winding, branch)
         return
     got = _solve_ratio(n, constraint, gamma_source, winding, branch)
-    # the same cell, refined to within brentq's own stopping tolerance (the
-    # two runs see residuals that differ in the last bit: numpy's hypot is not
-    # correctly rounded, math.hypot is)
-    assert abs(got - expected) <= 2.0 * (1e-15 + 8.9e-16 * abs(expected))
+    assert abs(got - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize(
@@ -211,12 +238,53 @@ def test_site_plan_found_next_to_infeasible_cells(
     assert plan.predicted_error < 1e-8
 
 
-def test_solve_ratio_at_zero_constraint_reaches_below_the_grid_floor():
-    # p ~ 1/N at N = 10^6 lies below the bracket grid's 1e-6 floor, so only
-    # the explicit C = 0 formula can reach it
-    got = _solve_ratio(10**6, 0.0, 1.0, 1, "minus")
-    assert got == equal_population_ratio(-math.pi, 10**6, "minus")
-    assert 9.9e-7 < got < 1e-6
+@pytest.mark.parametrize("n", [2, 3, 57, 10**6, 10**7])
+@pytest.mark.parametrize("winding", [1, 7, 63])
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_solve_ratio_at_zero_constraint_is_the_explicit_ratio(n, winding, branch):
+    # theta_1 = -k pi whatever p is, so the root is (sqrt N -+ 1)^-2, an end
+    # of the scanned bracket; at N = 10^6 it lies below 1e-6
+    got = _solve_ratio(n, 0.0, 1.0, winding, branch)
+    assert got == equal_population_ratio(-winding * math.pi, n, branch)
+
+
+# (N, source, C, gamma_source, winding, branch) -> the smallest ratio at that
+# winding: a geometric grid over [1e-6, 1e6] refused the first and passed over
+# the second's smaller root
+SMALLEST_ROOTS_AT_HIGH_WINDING = [
+    ((159, 1, -0.005824580929192481, 0.4948323832735992, 51, "minus"), 0.0062893603436888),
+    ((172, 1, 0.0033699492891657227, 0.0675913864793404, 58, "plus"), 0.0058525004358214),
+]
+
+
+@pytest.mark.parametrize("args, p", SMALLEST_ROOTS_AT_HIGH_WINDING, ids=["refused", "larger-root"])
+def test_site_plan_takes_the_smallest_root_at_high_winding(args, p):
+    n, source, constraint, gamma_source, winding, branch = args
+    plan = plan_w_from_site(
+        n, source, constraint, gamma_source, winding=winding, branch=branch
+    )
+    assert abs(plan.ratio - p) <= 1e-12 * p
+    assert plan.predicted_error <= 1e-8
+
+
+def test_winding_search_finds_the_first_feasible_winding():
+    # windings 1-45 have no self-consistent ratio; a geometric grid over
+    # [1e-6, 1e6] also missed 46-50
+    plan = plan_w_from_site(227, 1, 0.012143374943272304, 4.700712154984587, branch="plus")
+    assert plan.winding == 46
+    assert plan.predicted_error <= 1e-8
+    for k in range(1, 46):
+        with pytest.raises(InfeasibleError):
+            _solve_ratio(227, 0.012143374943272304, 4.700712154984587, k, "plus")
+
+
+def test_solve_ratio_has_no_floor_on_p():
+    # the minus branch's p ~ 1/N is below 1e-6 at N = 2 * 10^6
+    got = _solve_ratio(2_000_000, 1.2645320649476263e-06, 1.0, 3, "minus")
+    assert abs(got - 4.992991499371255e-07) <= 1e-12 * got
+    plan = plan_w_from_site(2_000_000, 1, 1.2645320649476263e-06, 1.0, winding=3, branch="minus")
+    assert plan.ratio == got
+    assert plan.predicted_error <= 1e-8
 
 
 def test_site_plan_transverse_three_sites():
@@ -470,24 +538,38 @@ def transfer_scalar(program, constraint):
     Only the bright mode of the two blocks moves.  With d = C(N-2)/4 on the
     sites, e = -C L/2 on the center, delta = (d-e)/2 and
     nu = sqrt(delta^2 + Omega^2/4):
-        F(t) = |e^{i delta t} (cos nu t - i (delta/nu) sin nu t) - 1|^2 / 4.
+        F(t) = |e^{i delta t} (cos nu t - i (delta/nu) sin nu t) - 1|^2 / 4
+             = |sum_k c_k (e^{i w_k t} - 1)|^2 / 4
+    over w = delta -+ nu with c = (nu +- delta) / (2 nu), where each
+    e^{iwt} - 1 = -2 sin^2(wt/2) + i sin(wt).  The w and c that nearly
+    vanish when |delta| >> Omega come from (nu - |delta|)(nu + |delta|) =
+    Omega^2/4, so a suppressed transfer keeps its relative precision.
     """
     n, block = program.network.n_sites, program.block
     omega = program.network.omega
     delta = (constraint * (n - 2) / 4.0 + constraint * block / 2.0) / 2.0
     nu = math.sqrt(delta**2 + omega**2 / 4.0)
+    outer = nu + abs(delta)
+    inner = omega**2 / 4.0 / outer  # nu - |delta|
+    if delta >= 0.0:
+        terms = ((outer / (2.0 * nu), -inner), (inner / (2.0 * nu), outer))
+    else:
+        terms = ((inner / (2.0 * nu), -outer), (outer / (2.0 * nu), inner))
 
-    def amplitude(t):
-        return cmath.exp(1j * delta * t) * (
-            math.cos(nu * t) - 1j * (delta / nu) * math.sin(nu * t)
-        ) - 1.0
+    def parts(t):
+        x = -2.0 * sum(c * math.sin(w * t / 2.0) ** 2 for c, w in terms)
+        y = sum(c * math.sin(w * t) for c, w in terms)
+        return x, y
 
     def fidelity(t):
-        return abs(amplitude(t)) ** 2 / 4.0
+        x, y = parts(t)
+        return (x * x + y * y) / 4.0
 
     def slope(t):
-        rate = -(omega**2 / (4.0 * nu)) * math.sin(nu * t)  # d amplitude / dt
-        return (amplitude(t).conjugate() * rate * cmath.exp(1j * delta * t)).real / 2.0
+        # d/dt (x + iy) = 2 m sin(nu t) e^{i delta t}, m = -Omega^2 / (8 nu)
+        x, y = parts(t)
+        m = -(omega**2) / (8.0 * nu)
+        return m * math.sin(nu * t) * (x * math.cos(delta * t) + y * math.sin(delta * t))
 
     return fidelity, slope
 
@@ -548,7 +630,7 @@ def test_suppressed_transfer_reports_its_scan_peak_not_time_zero():
     best = max(fidelity(t) for t in times)
     assert 0.0 < best < 1e-9
     assert prog.t_transfer > 0.0
-    assert prog.peak_target_fidelity >= best * (1.0 - 1e-12)
+    assert abs(prog.peak_target_fidelity - best) <= 1e-12 * best
 
 
 @settings(max_examples=60, deadline=None)

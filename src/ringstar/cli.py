@@ -74,7 +74,7 @@ def cmd_evolve(cfg: dict, args) -> list[tuple[str, list, list]]:
     cells[:, 0] = times
     cells[:, 1::2] = states.real
     cells[:, 2::2] = states.imag
-    return [(args.out, ["t"] + _amplitude_header(network.dim), cells.tolist())]
+    return [(args.out, ["t"] + _amplitude_header(network.dim), cells)]
 
 
 def cmd_wgen(cfg: dict, args) -> list[tuple[str, list, list]]:
@@ -120,7 +120,7 @@ def cmd_wgen(cfg: dict, args) -> list[tuple[str, list, list]]:
 
 def cmd_sweep_fluct(cfg: dict, args) -> list[tuple[str, list, list]]:
     options = _protocol_options(cfg, "constraint", "winding", "branch")
-    rows = fluctuation_sweep(cfg_mod.grid_from_config(cfg, "delta"), **options)
+    rows = np.array(fluctuation_sweep(cfg_mod.grid_from_config(cfg, "delta"), **options))
     return [(args.out, ["delta", "E_r"], rows)]
 
 
@@ -128,9 +128,7 @@ def cmd_transfer(cfg: dict, args) -> list[tuple[str, list, list]]:
     program = make_transfer_program(**cfg_mod.transfer_section(cfg))
     times = cfg_mod.grid_from_config(cfg, "time")
     curve = fidelity_curve(program, times)
-    curve_rows = np.column_stack(
-        [curve.times, curve.return_fidelity, curve.target_fidelity]
-    ).tolist()
+    curve_rows = np.column_stack([curve.times, curve.return_fidelity, curve.target_fidelity])
     network = program.network
     program_rows = [
         (site, gamma, delta, program.t_transfer, program.peak_target_fidelity)

@@ -315,6 +315,65 @@ def test_render_csv():
     assert text == "a,b\n1,2\n,x\n"
     with pytest.raises(ValueError):
         render_csv(["a"], [(1, 2)])
+    assert render_csv(["a", "b"], np.array([[0.1, -0.0], [1e300, 5e-324]])) == (
+        "a,b\n0.10000000000000001,-0\n1.0000000000000001e+300,4.9406564584124654e-324\n"
+    )
+    assert render_csv(["a", "b"], np.empty((0, 2))) == "a,b\n"
+    # list rows keep taking inf: a ring with nothing above its doublet has gap inf
+    assert render_csv(["gap"], [(math.inf,)]) == "gap\ninf\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_render_csv_refuses_a_non_finite_block_cell_by_column(bad):
+    block = np.zeros((3, 3))
+    block[2, 1] = bad
+    with pytest.raises(ValidationError, match="column 'b' holds a non-finite value"):
+        render_csv(["a", "b", "c"], block)
+
+
+@pytest.mark.parametrize("block", [
+    np.zeros((2, 2), dtype=np.float32),
+    np.zeros((2, 2), dtype=np.int64),
+    np.zeros((2, 2), dtype=np.complex128),
+    np.zeros((2, 2), dtype=object),
+    np.zeros(2),
+    np.zeros((2, 2, 1)),
+    np.zeros((2, 3)),
+], ids=["float32", "int", "complex", "object", "1-d", "3-d", "width"])
+def test_render_csv_block_path_takes_only_float64_tables_of_the_header_width(block):
+    with pytest.raises(ValueError) as raised:
+        render_csv(["a", "b"], block)
+    assert type(raised.value) is ValueError  # a caller's fault, not an input's
+
+
+def _bits_to_float(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+_POWER_OF_TEN_NEIGHBOURS = st.tuples(
+    st.integers(min_value=-323, max_value=308), st.sampled_from([-math.inf, 0, math.inf])
+).map(lambda ed: math.nextafter(float(f"1e{ed[0]}"), ed[1]) if ed[1] else float(f"1e{ed[0]}"))
+_BLOCK_CELLS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                       1.7976931348623157e308, -1.7976931348623157e308])
+    | st.tuples(st.sampled_from([1.0, -1.0]), _POWER_OF_TEN_NEIGHBOURS).map(lambda sp: sp[0] * sp[1])
+    | st.integers(min_value=0, max_value=2**64 - 1).map(_bits_to_float).filter(math.isfinite)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(0, 8), st.integers(1, 8)).flatmap(
+    lambda shape: st.lists(st.lists(_BLOCK_CELLS, min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]).map(lambda rows: (shape, rows))
+))
+@example(((2, 3), [[-0.0, 5e-324, 1.7976931348623157e308], [9.999999999999999e22, 1e23, 0.1]]))
+def test_property_render_csv_block_matches_format_cell(case):
+    shape, rows = case
+    block = np.array(rows, dtype=np.float64).reshape(shape)
+    header = [f"c{j}" for j in range(shape[1])]
+    cellwise = [",".join(header)] + [",".join(map(format_cell, row)) for row in block.tolist()]
+    assert render_csv(header, block) == "\n".join(cellwise) + "\n"
 
 
 _FLOATS = st.floats() | st.sampled_from(
@@ -407,7 +466,7 @@ def test_cli_evolve(tmp_path):
 @pytest.mark.parametrize(
     "deltas, initial", [([-1.0, -1.0, -1.0], 2), ([0.3, -0.5, -1.2], "center")]
 )
-def test_cli_evolve_rows_equal_propagate(tmp_path, deltas, initial):
+def test_cli_evolve_rows_equal_propagate(tmp_path, capsys, deltas, initial):
     # the first network meets the constraint (analytic route), the second not
     gammas = [1.0, 0.7, 1.3]
     times = np.linspace(0.0, 9.0, 37)
@@ -422,14 +481,15 @@ def test_cli_evolve_rows_equal_propagate(tmp_path, deltas, initial):
     )
     out = tmp_path / "evo.csv"
     assert run_cli("evolve", "--config", cfg, "--out", str(out)) == 0
-    lines = out.read_text().splitlines()[1:]
-    got = np.array([[float(v) for v in line.split(",")] for line in lines])
+    assert capsys.readouterr().out == f"wrote {out} (37 rows)\n"
     net = network_from_config(load_config(cfg))
     start = basis_state(net, 4 if initial == "center" else initial)
     states = propagate(net, start, times)
-    assert np.array_equal(got[:, 0], times)
-    assert np.array_equal(got[:, 1::2], states.real)
-    assert np.array_equal(got[:, 2::2], states.imag)
+    header = ["t"] + [f"{p}_{j}" for j in range(1, 5) for p in ("re", "im")]
+    rows = [[t] + [part for amp in state for part in (amp.real, amp.imag)]
+            for t, state in zip(times.tolist(), states.tolist())]
+    cellwise = [",".join(header)] + [",".join(map(format_cell, row)) for row in rows]
+    assert out.read_text() == "\n".join(cellwise) + "\n"
 
 
 def test_cli_wgen_center(tmp_path):
@@ -1038,6 +1098,43 @@ def test_cli_a_bare_package_error_exits_as_a_validation_failure(tmp_path, monkey
     cfg = effective_uniform(tmp_path)
     assert run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 3
     assert capsys.readouterr().err == "error [validation]: no narrower family\n"
+
+
+def test_cli_evolve_refuses_non_finite_amplitudes_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    def overflowed(network, state, times, **options):
+        states = np.zeros((len(times), network.dim), dtype=complex)
+        states[-1, 1] = complex(0.0, math.nan)
+        return states
+
+    monkeypatch.setattr(cli, "propagate", overflowed)
+    cfg = effective_uniform(
+        tmp_path, delta=-1.0, protocol={"initial": 1}, grids={"time": [0.0, 1.0]}
+    )
+    assert run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 3
+    assert capsys.readouterr().err == (
+        "error [validation]: column 'im_2' holds a non-finite value\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_cli_a_non_finite_transfer_output_leaves_no_file(tmp_path, monkeypatch, capsys, which):
+    # with which = 1 the curve's part file is already written when the program fails
+    command = cli.COMMANDS["transfer"]
+
+    def with_a_nan(cfg, args):
+        outputs = command(cfg, args)
+        path, header, rows = outputs[which]
+        block = np.array(rows, dtype=np.float64)
+        block[0, -1] = math.nan
+        outputs[which] = (path, header, block)
+        return outputs
+
+    monkeypatch.setitem(cli.COMMANDS, "transfer", with_a_nan)
+    cfg = str(CONFIGS / "block-transfer.json")
+    assert run_cli("transfer", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 3
+    assert "holds a non-finite value" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_dimension_cap_exit(tmp_path):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .coupling import Linker, star_from_rings
 from .errors import ConfigError, ValidationError
-from .rings import DEFAULT_DIM_CAP, RingSpec
+from .rings import DEFAULT_DIM_CAP, RingSpec, UnbuiltRing, cr_ni_within
 from .star import StarNetwork, as_subspace_state, basis_state
 
 _REQUIRED = object()
@@ -172,13 +172,13 @@ _CR_NI_NAMES = {"J": "exchange", "a": "ratio", "d": "crystal_field",
                 "symmetric_ni_bonds": "symmetric_substitute_bonds"}
 
 
-def ring_spec_from_config(obj: Any, where: str) -> RingSpec:
-    """Either the substituted-ring shorthand {x, J, a, d, symmetric_ni_bonds}
-    or an explicit {spins, bonds, crystal_fields} triple."""
+def ring_spec_from_config(obj: Any, where: str, dim_cap: int) -> RingSpec | UnbuiltRing:
+    """The substituted-ring shorthand {x, J, a, d, symmetric_ni_bonds}, unbuilt
+    past `dim_cap`, or an explicit {spins, bonds, crystal_fields} triple."""
     if "x" in _typed(obj, dict, where):
         _check_keys(obj, {"x", *_SHORTHAND_KEYS}, where)
         x = _get(obj, "x", where, int)
-        return RingSpec.cr_ni(x, **_given(obj, where, _SHORTHAND_KEYS, _CR_NI_NAMES))
+        return cr_ni_within(dim_cap, x, **_given(obj, where, _SHORTHAND_KEYS, _CR_NI_NAMES))
     _check_keys(obj, {"spins", "bonds", "crystal_fields"}, where)
     spins, bonds, fields = (
         tuple(_get(obj, key, where, _number_list))
@@ -203,9 +203,11 @@ def network_from_config(cfg: dict) -> StarNetwork:
         deltas = _get(eff, "deltas", "effective", _number_list)
         return StarNetwork(gammas=np.array(gammas), deltas=np.array(deltas))
     micro = _section(cfg, "microscopic", SECTION_KEYS["microscopic"])
-    central = _get(micro, "central", "microscopic", ring_spec_from_config)
+    dim_cap = dim_cap_from_config(cfg)
+    central = ring_spec_from_config(_get(micro, "central", "microscopic", dict),
+                                    "microscopic.central", dim_cap)
     rings = [
-        ring_spec_from_config(spec, f"microscopic.rings[{i}]")
+        ring_spec_from_config(spec, f"microscopic.rings[{i}]", dim_cap)
         for i, spec in enumerate(_get(micro, "rings", "microscopic", _nonempty_list))
     ]
     linkers = [
@@ -216,7 +218,7 @@ def network_from_config(cfg: dict) -> StarNetwork:
         for i, group in enumerate(_get(micro, "linkers", "microscopic", list))
     ]
     return star_from_rings(
-        central, rings, linkers, **_given(cfg, "", *_SCALE), dim_cap=dim_cap_from_config(cfg)
+        central, rings, linkers, **_given(cfg, "", *_SCALE), dim_cap=dim_cap
     )
 
 

@@ -28,6 +28,7 @@ from .rings import (
     DEFAULT_DIM_CAP,
     RingSpec,
     SiteMatrixElements,
+    cr_ni_within,
     ring_qubit_encoding,
     ring_qubit_encodings,
 )
@@ -218,7 +219,8 @@ def sweep_anisotropy_ad(
         return lambda _: effective_coupling(elems, elems, linkers, scale=scale)
 
     points = [(float(a), float(d)) for a in a_values for d in d_values]
-    specs = [RingSpec.cr_ni(x, exchange, a, d, symmetric_substitute_bonds) for a, d in points]
+    specs = [cr_ni_within(dim_cap, x, exchange, a, d, symmetric_substitute_bonds)
+             for a, d in points]
     rows = []
     for (a, d), outcome in zip(points, ring_qubit_encodings(specs, dim_cap=dim_cap)):
         rows += _sweep_rows(outcome, a, d, [None], rule)
@@ -234,11 +236,12 @@ def _b_path(
     tuned_sites: tuple[int, int] | None,
     symmetric_substitute_bonds: bool,
     scale: float,
+    dim_cap: int,
 ) -> tuple[RingSpec, Callable]:
     """The ring of a b sweep, its sites checked before any ED, and the rule elements
     -> (b -> pair) of [reference, b * reference on tuned_sites (default x + 1, x + 1)],
     which adds precomputed terms in `effective_coupling`'s order, bit for bit."""
-    spec = RingSpec.cr_ni(x, exchange, a, d, symmetric_substitute_bonds)
+    spec = cr_ni_within(dim_cap, x, exchange, a, d, symmetric_substitute_bonds)
     m, n = (x + 1, x + 1) if tuned_sites is None else tuned_sites
     _check_linkers([reference, Linker(m, n, 0.0)], x + 1, x + 1)
     s, r, c = reference.strength, reference.ring_site - 1, reference.central_site - 1
@@ -276,7 +279,7 @@ def b_sweep_evaluator(
     The underlying ring pair is diagonalized once.
     """
     spec, rule = _b_path(
-        x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds, scale
+        x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds, scale, dim_cap
     )
     return rule(ring_qubit_encoding(spec, dim_cap=dim_cap)[1])
 
@@ -295,7 +298,7 @@ def sweep_anisotropy_b(
 ) -> list[SweepRow]:
     """Effective (gamma, Delta) against the two-linker strength ratio b."""
     spec, rule = _b_path(
-        x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds, scale
+        x, exchange, a, d, reference, tuned_sites, symmetric_substitute_bonds, scale, dim_cap
     )
     b_values = [float(b) for b in b_values]
     outcome = ring_qubit_encodings([spec], dim_cap=dim_cap)[0]

@@ -143,6 +143,16 @@ class RingSpec:
         return math.prod(d**k for d, k in Counter(self.site_dims).items())
 
 
+UnbuiltRing = NamedTuple("UnbuiltRing", [("n_sites", int), ("dim", int)])
+
+
+def cr_ni_within(dim_cap: int, x: int, *args, **kwargs) -> RingSpec | UnbuiltRing:
+    """`RingSpec.cr_ni(x, ...)`, or past `dim_cap` the `UnbuiltRing` encoded as its cap error."""
+    if x >= 1 and 3 << 2 * x > dim_cap:  # x < 1 is cr_ni's to refuse
+        return UnbuiltRing(x + 1, 3 << 2 * x)
+    return RingSpec.cr_ni(x, *args, **kwargs)
+
+
 class _SectorLayout(NamedTuple):
     """The part of a ring's sector build that depends only on its site spins.
 

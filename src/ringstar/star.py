@@ -52,10 +52,10 @@ class StarNetwork:
     """Immutable description of the star: per-site gamma_i and Delta_i.
 
     Site indices in the public interface are 1-based; index N+1 denotes the
-    center.  `constraint_value` is the median of the products
-    gamma_i (1 + Delta_i), and `constraint_holds` says whether all products
-    agree with it to within 1e-10 relative to max(|C|, max |gamma_i|); all
-    three are computed once per network.
+    center.  `constraint_value` is np.median of the products gamma_i (1 + Delta_i),
+    bit for bit (-0.0 included, which it reads as +0.0), and `constraint_holds` says
+    whether all products agree with it to within 1e-10 relative to
+    max(|C|, max |gamma_i|); all three are computed once per network.
     """
 
     gammas: np.ndarray
@@ -95,8 +95,9 @@ class StarNetwork:
         return _readonly(self.gammas * (1.0 + self.deltas))
 
     @cached_property
-    def constraint_value(self) -> float:
-        return float(np.median(self.products))
+    def constraint_value(self) -> float:  # one sort: the middle, or the two middles' mean
+        p, mid = np.sort(self.products), self.n_sites // 2
+        return float(p[mid] if p.size % 2 else (p[mid - 1] + p[mid]) / 2.0) + 0.0
 
     @property
     def omega(self) -> float:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from ringstar.config import (
     transfer_section,
     z_convention_from_config,
 )
-from ringstar.coupling import Linker, sweep_anisotropy_ad, sweep_anisotropy_b
+from ringstar.coupling import Linker, b_sweep_evaluator, sweep_anisotropy_ad, sweep_anisotropy_b
 from ringstar.errors import (
     AnisotropyDivergenceError,
     ConfigError,
@@ -1162,6 +1163,49 @@ def test_rings_past_int64_dimensions_exceed_the_cap(tmp_path, capsys, x):
         assert run_cli(command, "--config", cfg, "--out", out) == 5
         assert capsys.readouterr().err.startswith("error [dimension-cap]: ring dimension ")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_an_oversized_shorthand_ring_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # 3 * 4^(10^6) states: building the ring alone took over a second and 100 MB
+    x = 10**6
+    sizes = []  # the site count of every RingSpec built
+    post_init = RingSpec.__post_init__
+
+    def counted(spec):
+        sizes.append(len(spec.sites))
+        post_init(spec)
+
+    monkeypatch.setattr(RingSpec, "__post_init__", counted)
+    link = {"ring_site": 1, "central_site": 2, "strength": 1.0}
+    runs = [("spectrum", micro_with(rings=[{"x": x}, MICRO_RING])),
+            ("sweep-aniso", {"sweep": dict(AD_SWEEP, x=x, a_values=[0.8, 0.9],
+                                           d_values=[0.2, 0.3], linkers=[link])}),
+            ("sweep-aniso", {"sweep": dict(B_SWEEP, x=x, b_values=[0.0, 1.0])})]
+    out = str(tmp_path / "x.csv")
+    for command, payload in runs:
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        start = time.perf_counter()
+        assert run_cli(command, "--config", cfg, "--out", out) == 5
+        assert time.perf_counter() - start < 0.1
+        assert capsys.readouterr().err == (
+            "error [dimension-cap]: ring dimension 10^602060.5 exceeds the cap 4096\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError, match=r"^ring dimension 10\^602060\.5 exceeds"):
+        b_sweep_evaluator(x=x)
+    assert time.perf_counter() - start < 0.1
+    assert sizes and max(sizes) == 1  # only the spin-1/2 rings of the spectrum config
+
+
+def test_x_0_is_refused_by_cr_ni_though_its_3_states_exceed_a_cap_of_2(tmp_path, capsys):
+    link = {"ring_site": 1, "central_site": 1, "strength": 1.0}
+    for command, payload in [("spectrum", micro_with(central={"x": 0})),
+                             ("sweep-aniso", {"sweep": B_SWEEP | {"x": 0}}),
+                             ("sweep-aniso", {"sweep": AD_SWEEP | {"x": 0, "linkers": [link]}})]:
+        cfg = write_json(tmp_path / "cfg.json", dict(payload, dim_cap=2))
+        assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "x.csv")) == 3
+        assert capsys.readouterr().err == (
+            "error [validation]: need at least one spin-3/2 site\n")
 
 
 def test_cli_outputs_are_byte_identical(tmp_path):

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringstar.errors import ValidationError
 from ringstar.linalg import (
     EigenSystem,
     hermitian_eigendecompose,
+    lanczos,
     max_entry_norm,
     unitary_evolve,
 )
@@ -178,3 +179,68 @@ def test_evolution_conserves_energy():
 def test_eigensystem_is_plain_data():
     eig = EigenSystem(values=np.array([1.0]), vectors=np.eye(1))
     assert eig.values[0] == 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=80),
+    rows=st.integers(min_value=1, max_value=3),
+    complex_entries=st.booleans(),
+    repeated_levels=st.booleans(),
+    count=st.sampled_from([0, 1]),
+    n_locked=st.integers(min_value=0, max_value=2),
+    rtol=st.sampled_from([1e-14, 1e-12, 1e-10, 1e-6]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=80, rows=3, complex_entries=True, repeated_levels=False, count=0, n_locked=2,
+         rtol=1e-14, seed=1)  # every basis outgrows its first 64 columns
+@example(n=80, rows=2, complex_entries=False, repeated_levels=False, count=1, n_locked=1,
+         rtol=1e-12, seed=2)
+def test_property_lanczos_matches_dense_eigh(n, rows, complex_entries, repeated_levels, count,
+                                             n_locked, rtol, seed):
+    rng = np.random.default_rng(seed)
+    if complex_entries:
+        q, _ = np.linalg.qr(rng.normal(size=(rows, n, n)) + 1j * rng.normal(size=(rows, n, n)))
+    else:
+        q, _ = np.linalg.qr(rng.normal(size=(rows, n, n)))
+    levels = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+    if repeated_levels:  # at most three clusters of levels, split by 1e-16 to 1e-2 of the scale
+        levels = np.take_along_axis(levels, rng.integers(0, min(3, n), (rows, n)), 1)
+        levels *= 1.0 + 10.0 ** rng.uniform(-16, -2, (rows, 1)) * rng.normal(size=(rows, n))
+    h = (q * levels[:, None, :]) @ q.conj().swapaxes(1, 2)
+    h = (h + h.conj().swapaxes(1, 2)) / 2.0
+    exact, vectors = np.linalg.eigh(h)
+    norm = np.abs(exact).max(1)
+    j = min(n_locked, n - 1)
+    locked = vectors[:, :, :j].swapaxes(1, 2) if j else None  # the j lowest, deflated
+    start = rng.normal(size=(rows, n)) + (1j * rng.normal(size=(rows, n)) if complex_entries else 0)
+    for _ in range(2 if j else 0):  # a start orthogonal to the locked vectors
+        start -= ((locked.conj() @ start[:, :, None]).swapaxes(1, 2) @ locked)[:, 0]
+    tol = rtol * norm
+    out = lanczos(lambda active, v: (h[active] @ v[:, :, None])[:, :, 0], start, tol, count, locked)
+    assert len(out) == rows
+    for r in range(rows):
+        if count == 0:
+            basis, alphas, betas = out[r]
+            k = basis.shape[0]
+            assert 1 <= k <= n - j and alphas.shape == (k,) and betas.shape == (k - 1,)
+            assert np.abs(basis.conj() @ basis.T - np.eye(k)).max() <= 1e-12
+            if j:
+                assert np.abs(basis.conj() @ locked[r].T).max() <= 1e-12
+            tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            projected = basis.conj() @ h[r] @ basis.T
+            assert np.abs(projected - tridiagonal).max() <= 1e-12 * norm[r]
+            if j + k < n:  # stopped at beta <= tol: the span is invariant to within tol
+                span = np.vstack([locked[r], basis]) if j else basis
+                w = h[r] @ basis[-1]
+                for _ in range(2):
+                    w = w - (span.conj() @ w) @ span
+                assert np.linalg.norm(w) <= tol[r] + 1e-13 * norm[r]
+        else:
+            (theta,), (ritz,) = out[r]
+            assert abs(np.linalg.norm(ritz) - 1.0) <= 1e-12
+            residual = np.linalg.norm(h[r] @ ritz - theta * ritz)
+            # the stopping rule's beta |y_last| <= tol, plus the rounding of H y itself
+            assert residual <= tol[r] + 1e-13 * norm[r]
+            if j + 1 == n or exact[r, j + 1] - exact[r, j] > 1e-3 * norm[r]:  # a clear gap
+                assert abs(theta - exact[r, j]) <= residual + 1e-12 * norm[r]

@@ -1,6 +1,8 @@
 """Effective star Hamiltonian, closed-form spectrum, subspace propagation."""
 
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +67,42 @@ def test_constraint_detection():
     assert abs(net.constraint_value - 0.8) < 1e-14
     off = StarNetwork(gammas=np.array([1.0, 1.0]), deltas=np.array([0.0, -0.5]))
     assert not off.constraint_holds
+
+
+def _sign_and_value(x: float) -> tuple[float, float]:
+    return math.copysign(1.0, x), x
+
+
+# products of either sign: zero, subnormal, or of magnitude 1e-300 to 1e300
+_PRODUCT = st.tuples(st.booleans(), st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=sys.float_info.min, exclude_max=True),
+    st.floats(min_value=1e-300, max_value=1e300),
+)).map(lambda sign_magnitude: -sign_magnitude[1] if sign_magnitude[0] else sign_magnitude[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=st.lists(_PRODUCT, min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 5), min_size=1, max_size=300))
+@example(pool=[-0.0, 0.0], picks=[0])
+@example(pool=[-0.0, 0.0], picks=[0, 0])
+@example(pool=[-0.0, 0.0, 1.0], picks=[2, 0, 1, 2])
+def test_property_constraint_value_is_np_median_bit_for_bit(pool, picks):
+    # products drawn from a small pool repeat; a network cannot hold the
+    # largest of them (4 Omega^2 overflows), so the property reads them directly
+    products = np.array([pool[i % len(pool)] for i in picks])
+    stand_in = SimpleNamespace(products=products, n_sites=products.size)
+    got = StarNetwork.constraint_value.func(stand_in)
+    assert type(got) is float
+    assert _sign_and_value(got) == _sign_and_value(float(np.median(products)))
+
+
+def test_constraint_value_of_negative_zero_products_is_positive_zero():
+    # gamma = -1 and Delta = -1 give the product -0.0, which np.median returns as +0.0
+    for gammas in ([-1.0], [-1.0, -1.0], [-1.0, 1.0, -1.0]):
+        net = StarNetwork(gammas=np.array(gammas), deltas=np.full(len(gammas), -1.0))
+        assert math.copysign(1.0, net.products[0]) == -1.0
+        assert _sign_and_value(net.constraint_value) == (1.0, 0.0)
 
 
 def test_network_validation():
